@@ -31,10 +31,14 @@ import (
 	"condmon/internal/transport"
 )
 
-// adCompactEvery is how many journaled alert deltas elapse between
-// compacting checkpoints of the filter state. Filter snapshots are small
-// (bounded per-variable latches), so compacting often keeps replay short
-// after a restart.
+// adCompactEvery is the fewest journaled alert deltas between compacting
+// checkpoints of the filter state. It is the cadence only while the
+// snapshot is small — AD-2 and AD-5 keep one latch per variable. AD-1,
+// AD-3, AD-4 and AD-6 remember every displayed alert, so their snapshot
+// grows with the stream, and the log's policy then also waits for as many
+// delta bytes as the last checkpoint holds: checkpoints space out
+// geometrically and journaling stays amortised O(1) per alert, with the
+// log at most twice its checkpoint plus this many deltas.
 const adCompactEvery = 256
 
 func main() {
@@ -83,9 +87,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	var (
-		reg *obs.Registry
-		tr  *obs.Tracer
-		hl  *obs.Health
+		reg     *obs.Registry
+		tr      *obs.Tracer
+		hl      *obs.Health
+		journal *durable.LoggedFilter // nil without -state-dir
 	)
 	if *maddr != "" {
 		reg = obs.NewRegistry()
@@ -110,13 +115,8 @@ func run(args []string, out io.Writer) error {
 		} else if replayed > 0 {
 			fmt.Fprintf(out, "AD recovered %d records from %s\n", replayed, wal.Path())
 		}
-		lf := durable.LogFilter(filter, wal, adCompactEvery)
-		defer func() {
-			if err := lf.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "condmon-ad: durable journal:", err)
-			}
-		}()
-		filter = lf
+		journal = durable.LogFilter(filter, wal, adCompactEvery)
+		filter = journal
 	}
 
 	if *tracing {
@@ -221,7 +221,17 @@ func run(args []string, out io.Writer) error {
 	// offer runs one alert through the filter, prints the outcome, and
 	// feeds the auditor (nil-safe when auditing is off).
 	offer := func(a event.Alert, tag string) {
-		if ad.Offer(filter, a) {
+		shown := ad.Offer(filter, a)
+		if journal != nil {
+			// Only a displayed alert is journaled, so a failure can only
+			// appear here; say so now, not at exit: from this alert on the
+			// evidence is in memory only and a restart will forget it.
+			if err := journal.Err(); err != nil {
+				fmt.Fprintln(os.Stderr, "condmon-ad: durable journal failed, filtering continues without it:", err)
+				journal = nil
+			}
+		}
+		if shown {
 			displayed++
 			var origin int64
 			if origins != nil {

@@ -230,6 +230,10 @@ func run(args []string, out io.Writer) error {
 			received++
 			a, fired, err := eval.Feed(u)
 			if err != nil {
+				// Includes a failed journal append or checkpoint (counted
+				// in durable.wal.errors): an evaluator must not run ahead
+				// of its log, so the failure is reported here and ends
+				// the process.
 				return err
 			}
 			if fired {

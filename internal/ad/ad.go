@@ -222,16 +222,6 @@ func NewAD3(vars ...event.VarName) *AD3 {
 // Name implements Filter.
 func (f *AD3) Name() string { return "AD-3" }
 
-// varNames returns the watched variables in construction order (cold paths:
-// snapshots and diagnostics).
-func (f *AD3) varNames() []event.VarName {
-	vars := make([]event.VarName, len(f.rm))
-	for i := range f.rm {
-		vars[i] = f.rm[i].v
-	}
-	return vars
-}
-
 // Test implements Filter: exact-duplicate removal plus the Conflicts(H)
 // predicate of Figure A-3.
 func (f *AD3) Test(a event.Alert) bool {

@@ -21,22 +21,25 @@ import (
 // and never re-displays a duplicate.
 //
 // ad.Filter.Accept has no error return, so the first WAL failure is
-// stashed and exposed via Err; filtering continues in-memory-only after
-// that (the operator monitors durable.wal.* and Err to notice).
+// stashed, counted in durable.wal.errors and exposed via Err; filtering
+// continues in-memory-only after that, and the caller polls Err to say so
+// when it happens.
 type LoggedFilter struct {
 	inner        ad.Filter
 	snap         ad.Snapshotter // nil when inner cannot checkpoint
 	log          *Log
 	compactEvery int
-	deltas       int
+	buf          []byte // delta scratch, reused across accepts
 	err          error
 }
 
 // LogFilter wraps f so every displayed alert is journaled to l. When f
 // (or anything it wraps, via Unwrap chains) implements ad.Snapshotter and
-// compactEvery > 0, the log is compacted to a single checkpoint after
-// every compactEvery displayed alerts; otherwise the log only ever grows
-// by deltas.
+// compactEvery > 0, the log is compacted to a single checkpoint whenever
+// the log's policy says the deltas since the last one have paid for it —
+// at least compactEvery of them, and at least as many bytes as that
+// checkpoint (see Log.compactionDue); otherwise the log only ever grows by
+// deltas.
 func LogFilter(f ad.Filter, l *Log, compactEvery int) *LoggedFilter {
 	snap, _ := FilterSnapshotter(f)
 	return &LoggedFilter{inner: f, snap: snap, log: l, compactEvery: compactEvery}
@@ -50,32 +53,32 @@ func (f *LoggedFilter) Name() string { return f.inner.Name() }
 func (f *LoggedFilter) Test(a event.Alert) bool { return f.inner.Test(a) }
 
 // Accept journals a as a delta record, then updates the wrapped filter's
-// evidence, then compacts if the checkpoint interval elapsed. The
+// evidence, then compacts if a checkpoint is due. The
 // compact-before-accept hazard does not arise here: at compaction time the
 // in-memory state already includes a, so the checkpoint supersedes the
 // just-written delta rather than losing it.
 func (f *LoggedFilter) Accept(a event.Alert) {
 	if f.err == nil {
-		payload, err := wire.EncodeAlert(a)
-		if err == nil {
-			err = f.log.Append(payload)
+		var err error
+		if f.buf, err = wire.AppendAlert(f.buf[:0], a); err == nil {
+			err = f.log.Append(f.buf)
 		}
 		if err != nil {
-			f.err = fmt.Errorf("durable: journal alert for %s: %w", f.inner.Name(), err)
+			f.fail("journal alert", err)
 		}
 	}
 	f.inner.Accept(a)
-	f.deltas++
-	if f.err == nil && f.snap != nil && f.compactEvery > 0 && f.deltas >= f.compactEvery {
-		f.deltas = 0
-		blob, err := f.snap.Snapshot()
-		if err == nil {
-			err = f.log.Compact(blob)
-		}
-		if err != nil {
-			f.err = fmt.Errorf("durable: checkpoint %s: %w", f.inner.Name(), err)
+	if f.err == nil && f.snap != nil {
+		if err := f.log.checkpointIfDue(f.compactEvery, f.snap.Snapshot); err != nil {
+			f.fail("checkpoint", err)
 		}
 	}
+}
+
+// fail records the failure that ends journaling.
+func (f *LoggedFilter) fail(op string, err error) {
+	f.err = fmt.Errorf("durable: %s for %s: %w", op, f.inner.Name(), err)
+	f.log.opts.Metrics.incErrors()
 }
 
 // Err reports the first WAL failure encountered on the accept path, or

@@ -51,33 +51,35 @@ func RecoverEvaluator(l *Log, e *ce.Evaluator) (int, error) {
 
 // EvaluatorJournal builds a ce.Evaluator journal sink backed by l: each
 // accepted update is appended as a delta, and — when compactEvery > 0 —
-// the log is compacted to a single checkpoint every compactEvery deltas.
-// Compaction runs before the append, so the delta of the update currently
-// being journaled always survives the rewrite. Attach the result with
+// the log is compacted to a single checkpoint whenever the log's policy
+// says one is due (at least compactEvery deltas and as many delta bytes as
+// the last checkpoint; window state is O(1), so in practice every
+// compactEvery). Compaction runs before the append, so the delta of the
+// update currently being journaled always survives the rewrite: the
+// evaluator has already applied it, the checkpoint includes it, and the
+// delta replays as a harmless stale push. Attach the result with
 // e.SetJournal.
 func EvaluatorJournal(l *Log, e *ce.Evaluator, compactEvery int) func(event.Update) error {
-	deltas := 0
+	return updateJournal(l, compactEvery, func() ([]byte, error) { return SnapshotEvaluator(e), nil })
+}
+
+// updateJournal is the sink behind EvaluatorJournal and LaneJournal:
+// checkpoint if due, then append u as a delta. Every failure is counted in
+// durable.wal.errors and returned, which fails the Feed that carried u.
+func updateJournal(l *Log, compactEvery int, snapshot func() ([]byte, error)) func(event.Update) error {
 	var buf []byte
 	return func(u event.Update) error {
-		if compactEvery > 0 && deltas >= compactEvery {
-			deltas = 0
-			// The evaluator has already applied u at this point, so the
-			// checkpoint includes it; the delta appended below replays as
-			// a harmless stale push.
-			if err := l.Compact(SnapshotEvaluator(e)); err != nil {
-				return err
-			}
+		err := l.checkpointIfDue(compactEvery, snapshot)
+		if err == nil {
+			buf, err = wire.AppendUpdate(buf[:0], u)
 		}
-		b, err := wire.AppendUpdate(buf[:0], u)
+		if err == nil {
+			err = l.Append(buf)
+		}
 		if err != nil {
-			return err
+			l.opts.Metrics.incErrors()
 		}
-		buf = b
-		if err := l.Append(b); err != nil {
-			return err
-		}
-		deltas++
-		return nil
+		return err
 	}
 }
 
@@ -145,26 +147,7 @@ func RecoverLane(l *Log, se *ce.SharedEvaluator) (int, error) {
 // update while discarding its delta, silently losing it. Attach with
 // se.SetJournal.
 func LaneJournal(l *Log, se *ce.SharedEvaluator, compactEvery int) func(event.Update) error {
-	deltas := 0
-	var buf []byte
-	return func(u event.Update) error {
-		if compactEvery > 0 && deltas >= compactEvery {
-			deltas = 0
-			if err := l.Compact(SnapshotLane(se)); err != nil {
-				return err
-			}
-		}
-		b, err := wire.AppendUpdate(buf[:0], u)
-		if err != nil {
-			return err
-		}
-		buf = b
-		if err := l.Append(b); err != nil {
-			return err
-		}
-		deltas++
-		return nil
-	}
+	return updateJournal(l, compactEvery, func() ([]byte, error) { return SnapshotLane(se), nil })
 }
 
 func decodeUpdateDelta(payload []byte) (event.Update, error) {

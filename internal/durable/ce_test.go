@@ -8,6 +8,7 @@ import (
 	"condmon/internal/ce"
 	"condmon/internal/cond"
 	"condmon/internal/event"
+	"condmon/internal/obs"
 )
 
 // ceStream builds a lossy update sequence for v: seqnos 1..n with every
@@ -275,5 +276,41 @@ func TestRestoreWindowValidation(t *testing.T) {
 	}
 	if err := eval.RestoreWindows([]event.History{hist("x", [2]int64{9, 1}, [2]int64{7, 2})}); err != nil {
 		t.Fatalf("RestoreWindows rejected a valid window: %v", err)
+	}
+}
+
+// TestEvaluatorJournalCadenceAndErrors pins the CE side of the shared
+// checkpoint policy — window state is O(1), so the journal still compacts
+// every compactEvery updates — and that a journal failure is counted in
+// durable.wal.errors as well as failing the Feed that carried the update.
+func TestEvaluatorJournalCadenceAndErrors(t *testing.T) {
+	const compactEvery = 5
+	m := RegisterMetrics(obs.NewRegistry(), "")
+	l := openT(t, filepath.Join(t.TempDir(), "ce.wal"), Options{Metrics: m})
+	eval, err := ce.New("CE1", cond.MustParse("deep", "x[0] - x[-2] > 150"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval.SetJournal(EvaluatorJournal(l, eval, compactEvery))
+	stream := ceStream("x", 60)
+	for _, u := range stream {
+		if _, _, err := eval.Feed(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The check runs before the append, so the first compaction comes with
+	// update compactEvery+1 and one follows every compactEvery after it.
+	if got, want := m.Compactions.Value(), int64((len(stream)-1)/compactEvery); got != want {
+		t.Fatalf("%d compactions over %d updates, want %d", got, len(stream), want)
+	}
+	if got := m.Errors.Value(); got != 0 {
+		t.Fatalf("durable.wal.errors = %d on a healthy journal", got)
+	}
+	l.f.Close() // every later write fails
+	if _, _, err := eval.Feed(event.U("x", 1000, 1)); err == nil {
+		t.Fatal("Feed succeeded though its journal append failed")
+	}
+	if got := m.Errors.Value(); got != 1 {
+		t.Fatalf("durable.wal.errors = %d, want 1", got)
 	}
 }

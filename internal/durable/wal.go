@@ -25,12 +25,15 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"condmon/internal/obs"
 )
@@ -80,6 +83,17 @@ type Metrics struct {
 	// Replayed counts records delivered to Replay callbacks
 	// (durable.wal.replayed).
 	Replayed *obs.Counter
+	// Errors counts journal failures — an append, snapshot or compaction
+	// that returned an error (durable.wal.errors). A LoggedFilter stops
+	// journaling at its first, so there it reads 0 or 1.
+	Errors *obs.Counter
+	// CheckpointNs times each policy-driven checkpoint, snapshot plus
+	// compaction (durable.wal.checkpoint_ns): the stall the journaling
+	// goroutine pays when a compaction falls due.
+	CheckpointNs *obs.Histogram
+	// CheckpointBytes is the payload size of the newest checkpoint record
+	// (durable.wal.checkpoint_bytes).
+	CheckpointBytes *obs.Gauge
 }
 
 func (m *Metrics) incAppends() {
@@ -118,7 +132,25 @@ func (m *Metrics) incReplayed() {
 	}
 }
 
-// RegisterMetrics creates the durable.wal.* counter family on reg and
+func (m *Metrics) incErrors() {
+	if m != nil {
+		m.Errors.Inc()
+	}
+}
+
+func (m *Metrics) observeCheckpoint(d time.Duration) {
+	if m != nil {
+		m.CheckpointNs.ObserveDuration(d)
+	}
+}
+
+func (m *Metrics) setCheckpointBytes(n int64) {
+	if m != nil {
+		m.CheckpointBytes.Set(n)
+	}
+}
+
+// RegisterMetrics creates the durable.wal.* metric family on reg and
 // returns a Metrics wired to it. A nil registry returns nil, which every
 // Log method tolerates.
 func RegisterMetrics(reg *obs.Registry, prefix string) *Metrics {
@@ -135,6 +167,13 @@ func RegisterMetrics(reg *obs.Registry, prefix string) *Metrics {
 		Corrupt:     reg.Counter(prefix + ".corrupt"),
 		TornTail:    reg.Counter(prefix + ".torn"),
 		Replayed:    reg.Counter(prefix + ".replayed"),
+		Errors:      reg.Counter(prefix + ".errors"),
+		// 100 µs to 10 s by decades: a checkpoint of O(1) state takes a
+		// few hundred microseconds, one of a million displayed alerts a
+		// few hundred milliseconds.
+		CheckpointNs: reg.Histogram(prefix+".checkpoint_ns",
+			100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000),
+		CheckpointBytes: reg.Gauge(prefix + ".checkpoint_bytes"),
 	}
 }
 
@@ -152,13 +191,6 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// recRef locates one valid record inside the file.
-type recRef struct {
-	off  int64
-	kind byte
-	size int32
-}
-
 // Log is a single-component write-ahead log: an append-only file of
 // CRC-framed checkpoint and delta records. A Log is safe for concurrent use
 // by multiple goroutines — in a live system the appending side (the AD
@@ -170,13 +202,21 @@ type Log struct {
 	path string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	end      int64    // offset one past the last valid record
-	recs     []recRef // valid records in file order
-	lastCkpt int      // index into recs of the newest checkpoint, -1 if none
-	pending  int      // appends since the last fsync
-	buf      []byte   // frame scratch, reused across appends
+	mu    sync.Mutex
+	f     *os.File
+	end   int64 // offset one past the last valid record
+	nrecs int   // valid records in the file
+	// The newest checkpoint's frame is [ckptOff, tail) — empty at
+	// headerSize while the log has none — and deltas counts the delta
+	// records in the run [tail, end) that follows it. Replay starts at
+	// ckptOff; the compaction policy weighs the run against the frame.
+	// All three are re-derived by the open scan, so the cadence carries
+	// across restarts.
+	ckptOff int64
+	tail    int64
+	deltas  int
+	pending int    // appends since the last fsync
+	buf     []byte // frame scratch, reused across appends
 }
 
 // Open opens (creating if absent) the WAL at path and scans it for valid
@@ -187,7 +227,7 @@ func Open(path string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", path, err)
 	}
-	l := &Log{path: path, f: f, opts: opts, lastCkpt: -1}
+	l := &Log{path: path, f: f, opts: opts, end: headerSize, ckptOff: headerSize, tail: headerSize}
 	if err := l.scan(); err != nil {
 		f.Close()
 		return nil, err
@@ -211,7 +251,6 @@ func (l *Log) scan() error {
 		if size != 0 {
 			l.opts.Metrics.incTornTail()
 		}
-		l.end = headerSize
 		return nil
 	}
 	var hdr [headerSize]byte
@@ -225,52 +264,14 @@ func (l *Log) scan() error {
 		return fmt.Errorf("durable: %s: unsupported WAL version %d (want %d)", l.path, hdr[4], walVersion)
 	}
 
-	l.end = headerSize
-	off := int64(headerSize)
-	pendingCorrupt := int64(0) // damaged records awaiting a valid successor
-	var h [recHeaderSize]byte
-	for off < size {
-		if off+recHeaderSize+recTrailerSize > size {
-			break // incomplete frame header: torn tail
-		}
-		if _, err := l.f.ReadAt(h[:], off); err != nil {
-			return fmt.Errorf("durable: scan %s: %w", l.path, err)
-		}
-		kind := h[0]
-		plen := int64(binary.BigEndian.Uint32(h[1:5]))
-		if (kind != RecCheckpoint && kind != RecDelta) || plen > maxRecordSize {
-			// Unrecognizable framing: record boundaries are lost from
-			// here on, so the rest of the file is a torn tail.
-			break
-		}
-		recEnd := off + recHeaderSize + plen + recTrailerSize
-		if recEnd > size {
-			break // payload runs past EOF: torn tail
-		}
-		frame := make([]byte, recHeaderSize+plen+recTrailerSize)
-		if _, err := l.f.ReadAt(frame, off); err != nil {
-			return fmt.Errorf("durable: scan %s: %w", l.path, err)
-		}
-		stored := binary.BigEndian.Uint32(frame[recHeaderSize+plen:])
-		if crc32.Checksum(frame[:recHeaderSize+plen], castagnoli) != stored {
-			// Framing is intact but the contents are damaged. Whether this
-			// is mid-file corruption (skip) or a torn tail (truncate)
-			// depends on whether a valid record follows.
-			pendingCorrupt++
-			off = recEnd
-			continue
-		}
-		if pendingCorrupt > 0 {
-			l.opts.Metrics.addCorrupt(pendingCorrupt)
-			pendingCorrupt = 0
-		}
-		l.recs = append(l.recs, recRef{off: off, kind: kind, size: int32(plen)})
-		if kind == RecCheckpoint {
-			l.lastCkpt = len(l.recs) - 1
-		}
-		l.end = recEnd
-		off = recEnd
+	corrupt, err := l.walk(headerSize, size, func(off int64, kind byte, payload []byte) error {
+		l.note(off, kind, len(payload))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	l.opts.Metrics.addCorrupt(corrupt)
 	if l.end < size {
 		// Torn or trailing-damaged bytes: drop them so the next append
 		// starts on a clean frame boundary.
@@ -283,6 +284,77 @@ func (l *Log) scan() error {
 		l.opts.Metrics.incTornTail()
 	}
 	return nil
+}
+
+// walk reads the frames in [from, to) front to back through one buffered
+// sequential pass and calls fn for each intact record. payload is valid
+// only until fn returns: one buffer is reused for every record. walk
+// returns the number of CRC-damaged records that an intact one followed —
+// mid-file corruption, which it skips. Damage with no intact successor is
+// a torn tail: the walk simply ends before to. fn's first error stops the
+// walk and is returned as is.
+func (l *Log) walk(from, to int64, fn func(off int64, kind byte, payload []byte) error) (corrupt int64, err error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(l.f, from, to-from), 64<<10)
+	var (
+		h       [recHeaderSize]byte
+		buf     []byte
+		damaged int64 // damaged records awaiting an intact successor
+	)
+	// A remainder too short for an empty frame is an incomplete header.
+	for off := from; off+recHeaderSize+recTrailerSize <= to; {
+		if _, err := io.ReadFull(r, h[:]); err != nil {
+			return corrupt, fmt.Errorf("durable: read %s: %w", l.path, err)
+		}
+		kind := h[0]
+		plen := int64(binary.BigEndian.Uint32(h[1:]))
+		if (kind != RecCheckpoint && kind != RecDelta) || plen > maxRecordSize {
+			// Unrecognizable framing: record boundaries are lost from
+			// here on, so the rest of the range is a torn tail.
+			break
+		}
+		recEnd := off + recHeaderSize + plen + recTrailerSize
+		if recEnd > to {
+			break // payload runs past the end: torn tail
+		}
+		// Bounded by the check above: never more than the file holds.
+		if n := int(plen) + recTrailerSize; cap(buf) < n {
+			buf = make([]byte, n)
+		} else {
+			buf = buf[:n]
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return corrupt, fmt.Errorf("durable: read %s: %w", l.path, err)
+		}
+		sum := crc32.Update(crc32.Checksum(h[:], castagnoli), castagnoli, buf[:plen])
+		if sum != binary.BigEndian.Uint32(buf[plen:]) {
+			// Framing is intact but the contents are damaged. Whether this
+			// is mid-file corruption (skip) or a torn tail (truncate)
+			// depends on whether an intact record follows.
+			damaged++
+			off = recEnd
+			continue
+		}
+		corrupt += damaged
+		damaged = 0
+		if err := fn(off, kind, buf[:plen]); err != nil {
+			return corrupt, err
+		}
+		off = recEnd
+	}
+	return corrupt, nil
+}
+
+// note indexes one valid record of the given payload length at off, the
+// bookkeeping shared by the open scan and the write paths.
+func (l *Log) note(off int64, kind byte, plen int) {
+	l.nrecs++
+	l.end = off + recHeaderSize + int64(plen) + recTrailerSize
+	if kind == RecCheckpoint {
+		l.ckptOff, l.tail, l.deltas = off, l.end, 0
+		l.opts.Metrics.setCheckpointBytes(int64(plen))
+	} else {
+		l.deltas++
+	}
 }
 
 func (l *Log) writeHeader() error {
@@ -322,7 +394,6 @@ func (l *Log) AppendCheckpoint(payload []byte) error {
 	if err := l.append(RecCheckpoint, payload); err != nil {
 		return err
 	}
-	l.lastCkpt = len(l.recs) - 1
 	l.opts.Metrics.incCheckpoints()
 	return l.sync()
 }
@@ -339,8 +410,7 @@ func (l *Log) append(kind byte, payload []byte) error {
 	if _, err := l.f.WriteAt(l.buf, l.end); err != nil {
 		return fmt.Errorf("durable: append %s: %w", l.path, err)
 	}
-	l.recs = append(l.recs, recRef{off: l.end, kind: kind, size: int32(len(payload))})
-	l.end += int64(len(l.buf))
+	l.note(l.end, kind, len(payload))
 	return nil
 }
 
@@ -363,11 +433,47 @@ func (l *Log) sync() error {
 	return nil
 }
 
+// compactionDue is the checkpoint policy every journal shares: a rewrite
+// is due once the delta run since the newest checkpoint holds at least
+// every records and at least as many bytes as that checkpoint's frame.
+// The first term is the floor a caller asks for; the second makes the
+// cost amortised O(1) per record whatever the state does — a checkpoint
+// is only ever replaced after as many delta bytes as it holds, so the
+// checkpoint bytes written never exceed the delta bytes written plus the
+// last checkpoint; state that grows with the stream is checkpointed at
+// geometrically spaced points, and state of constant size keeps the plain
+// every-N cadence. It bounds the file at twice the newest checkpoint plus
+// every deltas, and a replay at one checkpoint plus as many delta bytes
+// (or every deltas, if that is more).
+func (l *Log) compactionDue(every int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return every > 0 && l.deltas >= every && l.end-l.tail >= l.tail-l.ckptOff
+}
+
+// checkpointIfDue compacts the log to the state snapshot returns when
+// compactionDue says so, timing the stall it costs the caller.
+func (l *Log) checkpointIfDue(every int, snapshot func() ([]byte, error)) error {
+	if !l.compactionDue(every) {
+		return nil
+	}
+	start := time.Now()
+	blob, err := snapshot()
+	if err == nil {
+		err = l.Compact(blob)
+	}
+	l.opts.Metrics.observeCheckpoint(time.Since(start))
+	return err
+}
+
 // Compact rewrites the log as a header plus a single checkpoint record,
 // discarding all prior history. The new file is written to a temporary
 // sibling, fsynced, and renamed over the log path, so a crash at any point
 // leaves either the complete old log or the complete new one.
 func (l *Log) Compact(checkpoint []byte) error {
+	if len(checkpoint) > maxRecordSize {
+		return fmt.Errorf("durable: compact %s: checkpoint %d exceeds %d bytes", l.path, len(checkpoint), maxRecordSize)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	tmp := l.path + ".tmp"
@@ -375,26 +481,28 @@ func (l *Log) Compact(checkpoint []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: compact %s: %w", l.path, err)
 	}
-	frame := make([]byte, 0, headerSize+recHeaderSize+len(checkpoint)+recTrailerSize)
-	frame = append(frame, walMagic...)
-	frame = append(frame, walVersion, 0, 0, 0)
-	rec := make([]byte, 0, recHeaderSize+len(checkpoint)+recTrailerSize)
-	rec = append(rec, RecCheckpoint)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(checkpoint)))
-	rec = append(rec, checkpoint...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
-	frame = append(frame, rec...)
-	if _, err := g.WriteAt(frame, 0); err != nil {
-		g.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: compact %s: %w", l.path, err)
+	// File header and record header share one small buffer; the payload,
+	// which can run to megabytes, is written from the caller's slice.
+	var head [headerSize + recHeaderSize]byte
+	copy(head[:], walMagic)
+	head[4] = walVersion
+	rec := head[headerSize:]
+	rec[0] = RecCheckpoint
+	binary.BigEndian.PutUint32(rec[1:], uint32(len(checkpoint)))
+	var trailer [recTrailerSize]byte
+	binary.BigEndian.PutUint32(trailer[:], crc32.Update(crc32.Checksum(rec, castagnoli), castagnoli, checkpoint))
+	for _, part := range [][]byte{head[:], checkpoint, trailer[:]} {
+		if _, err = g.Write(part); err != nil {
+			break
+		}
 	}
-	if err := g.Sync(); err != nil {
-		g.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: compact %s: %w", l.path, err)
+	if err == nil {
+		err = g.Sync()
 	}
-	if err := os.Rename(tmp, l.path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
+	if err != nil {
 		g.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("durable: compact %s: %w", l.path, err)
@@ -408,10 +516,8 @@ func (l *Log) Compact(checkpoint []byte) error {
 	}
 	l.f.Close()
 	l.f = g
-	l.recs = l.recs[:0]
-	l.recs = append(l.recs, recRef{off: headerSize, kind: RecCheckpoint, size: int32(len(checkpoint))})
-	l.lastCkpt = 0
-	l.end = int64(len(frame))
+	l.nrecs = 0
+	l.note(headerSize, RecCheckpoint, len(checkpoint))
 	l.pending = 0
 	l.opts.Metrics.incCheckpoints()
 	l.opts.Metrics.incCompactions()
@@ -422,33 +528,28 @@ func (l *Log) Compact(checkpoint []byte) error {
 // the newest checkpoint (records before it are superseded; with no
 // checkpoint, every delta from the beginning). It returns the number of
 // records delivered; fn's first error stops the replay and is returned.
+// fn must not retain payload: it aliases a read buffer that the next
+// record overwrites.
 func (l *Log) Replay(fn func(kind byte, payload []byte) error) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	start := 0
-	if l.lastCkpt >= 0 {
-		start = l.lastCkpt
-	}
 	n := 0
-	for _, r := range l.recs[start:] {
-		payload := make([]byte, r.size)
-		if _, err := l.f.ReadAt(payload, r.off+recHeaderSize); err != nil {
-			return n, fmt.Errorf("durable: replay %s: %w", l.path, err)
-		}
-		if err := fn(r.kind, payload); err != nil {
-			return n, err
+	_, err := l.walk(l.ckptOff, l.end, func(_ int64, kind byte, payload []byte) error {
+		if err := fn(kind, payload); err != nil {
+			return err
 		}
 		n++
 		l.opts.Metrics.incReplayed()
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Records reports how many valid records the log currently holds.
 func (l *Log) Records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return l.nrecs
 }
 
 // Size reports the byte length of the valid portion of the log file.

@@ -326,3 +326,42 @@ func TestWALMetricsCounters(t *testing.T) {
 		t.Fatalf("replayed = %d, want 1 (checkpoint only)", got)
 	}
 }
+
+// TestWALSequentialReadReusesOneBuffer pins the one-pass reader behind
+// both the open scan and Replay across what a reused payload buffer could
+// get wrong: a checkpoint larger than the read-ahead followed by small
+// deltas, a delta that makes the buffer grow again, and an empty payload.
+// The callback sees each payload intact although it may not retain it.
+func TestWALSequentialReadReusesOneBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seq.wal")
+	l := openT(t, path, Options{})
+	big := bytes.Repeat([]byte("checkpoint"), 20_000) // 200 kB, past the 64 kB read-ahead
+	if err := l.AppendCheckpoint(big); err != nil {
+		t.Fatal(err)
+	}
+	deltas := [][]byte{[]byte("abc"), bytes.Repeat([]byte{'g'}, 300_000), {}, []byte("z")}
+	for _, d := range deltas {
+		if err := l.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	m := RegisterMetrics(reg, "")
+	l2 := openT(t, path, Options{Metrics: m})
+	defer l2.Close()
+	if got := l2.Records(); got != 1+len(deltas) {
+		t.Fatalf("scan indexed %d records, want %d", got, 1+len(deltas))
+	}
+	if got := m.CheckpointBytes.Value(); got != int64(len(big)) {
+		t.Fatalf("checkpoint_bytes after reopen = %d, want %d", got, len(big))
+	}
+	want := []recVal{{RecCheckpoint, string(big)}}
+	for _, d := range deltas {
+		want = append(want, recVal{RecDelta, string(d)})
+	}
+	wantRecs(t, replayAll(t, l2), want...)
+}

@@ -7,6 +7,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,12 +177,19 @@ func (hs HistorySet) Clone() HistorySet {
 
 // Vars returns the variables of the set in sorted order.
 func (hs HistorySet) Vars() []VarName {
-	out := make([]VarName, 0, len(hs))
+	return hs.AppendVars(make([]VarName, 0, len(hs)))
+}
+
+// AppendVars appends the variables of the set to dst in sorted order. With
+// room in dst it allocates nothing, which is what lets an encoder on a hot
+// path list an alert's variables in a stack buffer.
+func (hs HistorySet) AppendVars(dst []VarName) []VarName {
+	base := len(dst)
 	for v := range hs {
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Equal reports whether two history sets cover the same variables with the

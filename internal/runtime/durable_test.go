@@ -11,6 +11,7 @@ import (
 	"condmon/internal/durable"
 	"condmon/internal/event"
 	"condmon/internal/link"
+	"condmon/internal/obs"
 	"condmon/internal/wire"
 )
 
@@ -44,10 +45,99 @@ type crashHalf struct {
 	recover bool
 }
 
+// walShape watches journaled AD logs from outside the durable package —
+// through their metrics, Records and Size, sampled at quiescent points a
+// displayed alert or two apart — for the two log shapes the
+// checkpoint policy produces beyond the every-N floor: a log that has been
+// through several size-paced (geometric) compactions, and a log whose
+// delta tail is as long as the checkpoint it follows, one record short of
+// the next compaction. It records the first update index at which each
+// shape is on disk, so a suite can crash exactly there.
+type walShape struct {
+	every int // the compactEvery the logs are journaled with
+	logs  []*shapeLog
+
+	afterGeometric int // first index with ≥ 3 geometric compactions behind it, -1 until seen
+	longestTail    int // first later index with a full-length tail, -1 until seen
+}
+
+type shapeLog struct {
+	l *durable.Log
+	m *durable.Metrics
+
+	compactions int64 // at the last sample
+	ckptAppends int64 // appends journaled before the newest checkpoint
+	geometric   int   // compactions that came later than the floor
+}
+
+func newWALShape(every int) *walShape {
+	return &walShape{every: every, afterGeometric: -1, longestTail: -1}
+}
+
+// open opens an AD log with metrics of its own and, on a probe run,
+// watches it; a nil walShape just opens the log.
+func (w *walShape) open(t *testing.T, path string) *durable.Log {
+	t.Helper()
+	m := durable.RegisterMetrics(obs.NewRegistry(), "")
+	l, err := durable.Open(path, durable.Options{Metrics: m})
+	if err != nil {
+		t.Fatalf("durable.Open(%s): %v", path, err)
+	}
+	if w != nil {
+		w.logs = append(w.logs, &shapeLog{l: l, m: m})
+	}
+	return l
+}
+
+// sample inspects every watched log after update index i has drained.
+func (w *walShape) sample(i int) {
+	// WAL framing, as documented in docs/RECOVERY.md: an 8-byte file
+	// header, 9 bytes around each record payload.
+	const fileHeader, recFraming = 8, 9
+	for _, s := range w.logs {
+		c := s.m.Compactions.Value()
+		if c == 0 {
+			continue
+		}
+		// A compacted log is one checkpoint plus the deltas since.
+		deltas := int64(s.l.Records() - 1)
+		ckptAppends := s.m.Appends.Value() - deltas
+		if c != s.compactions {
+			if ckptAppends-s.ckptAppends > int64(w.every) {
+				s.geometric++
+			}
+			s.compactions, s.ckptAppends = c, ckptAppends
+		}
+		if s.geometric >= 3 && w.afterGeometric < 0 {
+			w.afterGeometric = i
+		}
+		if w.afterGeometric < 0 || i <= w.afterGeometric || w.longestTail >= 0 || deltas <= int64(w.every) {
+			continue
+		}
+		frame := recFraming + s.m.CheckpointBytes.Value()
+		if tail := s.l.Size() - fileHeader - frame; tail+tail/deltas >= frame {
+			w.longestTail = i
+		}
+	}
+}
+
+// crashPoints returns the update counts to crash after: the suite's
+// classic midpoint plus the two shapes found by the probe run.
+func (w *walShape) crashPoints(t *testing.T, mid int) map[string]int {
+	t.Helper()
+	if w.afterGeometric < 0 || w.longestTail < 0 {
+		t.Fatalf("probe run never reached the size-paced log shapes (after 3 geometric compactions: %d, longest tail: %d); stream too short",
+			w.afterGeometric, w.longestTail)
+	}
+	t.Logf("crash after %d updates (3 geometric compactions behind) and after %d (full-length tail)", w.afterGeometric+1, w.longestTail+1)
+	return map[string]int{"mid": mid, "after-geometric": w.afterGeometric + 1, "longest-tail": w.longestTail + 1}
+}
+
 // emitEngineHalf interleaves x and y updates over index range [from, to) so
 // a midpoint crash leaves every window — shared, straggler, and both
-// variables — partially filled.
-func emitEngineHalf(t *testing.T, ng *Engine, from, to, batch int) {
+// variables — partially filled. On a per-update probe run it drains after
+// every update and lets probe sample the AD logs.
+func emitEngineHalf(t *testing.T, ng *Engine, from, to, batch int, probe *walShape) {
 	t.Helper()
 	vals := func(v event.VarName, i int) float64 {
 		phase := int(hashVar(v) % 37)
@@ -58,6 +148,12 @@ func emitEngineHalf(t *testing.T, ng *Engine, from, to, batch int) {
 			for _, v := range []event.VarName{"x", "y"} {
 				if _, err := ng.Emit(v, vals(v, i)); err != nil {
 					t.Fatalf("Emit: %v", err)
+				}
+				if probe != nil {
+					if err := ng.Drain(); err != nil {
+						t.Fatalf("Drain: %v", err)
+					}
+					probe.sample(i)
 				}
 			}
 		}
@@ -80,16 +176,19 @@ func emitEngineHalf(t *testing.T, ng *Engine, from, to, batch int) {
 	}
 }
 
+// Parameters of the journaled engine runs.
+const (
+	engineDurableN       = 400
+	engineADCompactEvery = 8
+	engineLaneCompact    = 64
+)
+
 // runEngineDurable drives one journaled Engine over the interleaved stream,
-// optionally crashing displayer state at the midpoint, and returns the
-// per-condition displayed sequences.
-func runEngineDurable(t *testing.T, loss func(int, int, event.VarName) link.Model, batch int, crash *crashHalf) map[string][]event.Alert {
+// draining after the first at rounds and there optionally crashing
+// displayer state, and returns the per-condition displayed sequences. A
+// non-nil probe watches the AD logs (see emitEngineHalf).
+func runEngineDurable(t *testing.T, loss func(int, int, event.VarName) link.Model, batch, at int, crash *crashHalf, probe *walShape) map[string][]event.Alert {
 	t.Helper()
-	const (
-		n              = 400
-		adCompactEvery = 8
-		laneCompact    = 64
-	)
 	dir := t.TempDir()
 	adLogs := make(map[string]*durable.Log)
 	laneLogs := make(map[string]*durable.Log)
@@ -101,16 +200,16 @@ func runEngineDurable(t *testing.T, loss func(int, int, event.VarName) link.Mode
 		return l
 	}
 	ng, err := NewEngine(func(c cond.Condition) ad.Filter {
-		l := openLog("ad-" + c.Name())
+		l := probe.open(t, filepath.Join(dir, "ad-"+c.Name()+".wal"))
 		adLogs[c.Name()] = l
-		return durable.LogFilter(ad.NewAD1(), l, adCompactEvery)
+		return durable.LogFilter(ad.NewAD1(), l, engineADCompactEvery)
 	}, EngineOptions{
 		Replicas: 2, Workers: 4, Seed: 42, Loss: loss,
 		Journal: func(shard, replica int, se *ce.SharedEvaluator) func(event.Update) error {
 			key := fmt.Sprintf("lane-%d-%d", shard, replica)
 			l := openLog(key)
 			laneLogs[key] = l
-			return durable.LaneJournal(l, se, laneCompact)
+			return durable.LaneJournal(l, se, engineLaneCompact)
 		},
 	})
 	if err != nil {
@@ -123,9 +222,9 @@ func runEngineDurable(t *testing.T, loss func(int, int, event.VarName) link.Mode
 		}
 	}
 
-	emitEngineHalf(t, ng, 0, n/2, batch)
+	emitEngineHalf(t, ng, 0, at, batch, probe)
 	// Drain so the crash point is quiescent and totally ordered after the
-	// first half — the same barrier the baseline run crosses.
+	// first part — the same barrier the baseline run crosses.
 	if err := ng.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -153,13 +252,13 @@ func runEngineDurable(t *testing.T, loss func(int, int, event.VarName) link.Mode
 						t.Fatalf("RecoverFilter(%s): %v", c.Name(), err)
 					}
 				}
-				if err := ng.ReplaceFilter(c.Name(), durable.LogFilter(raw, l, adCompactEvery)); err != nil {
+				if err := ng.ReplaceFilter(c.Name(), durable.LogFilter(raw, l, engineADCompactEvery)); err != nil {
 					t.Fatalf("ReplaceFilter(%s): %v", c.Name(), err)
 				}
 			}
 		}
 	}
-	emitEngineHalf(t, ng, n/2, n, batch)
+	emitEngineHalf(t, ng, at, engineDurableN, batch, probe)
 	if _, err := ng.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -213,9 +312,10 @@ func TestEngineKillRestartEquivalence(t *testing.T) {
 		"ad":   {adf: true, recover: true},
 		"both": {ce: true, adf: true, recover: true},
 	}
+	const mid = engineDurableN / 2
 	for name, loss := range schedules {
 		t.Run(name, func(t *testing.T) {
-			want := runEngineDurable(t, loss, 1, nil)
+			want := runEngineDurable(t, loss, 1, mid, nil, nil)
 			fired := 0
 			for _, alerts := range want {
 				fired += len(alerts)
@@ -225,14 +325,24 @@ func TestEngineKillRestartEquivalence(t *testing.T) {
 			}
 			for half, ch := range halves {
 				ch := ch
-				got := runEngineDurable(t, loss, 1, &ch)
+				got := runEngineDurable(t, loss, 1, mid, &ch, nil)
 				compareDisplayed(t, "crash="+half+"/per-update", want, got)
 			}
-			// Batched emission with the full crash.
 			both := halves["both"]
-			wantB := runEngineDurable(t, loss, 64, nil)
+			// The full crash at the two size-paced AD log shapes.
+			probe := newWALShape(engineADCompactEvery)
+			runEngineDurable(t, loss, 1, engineDurableN, nil, probe)
+			for leg, at := range probe.crashPoints(t, mid) {
+				if at == mid {
+					continue // covered above
+				}
+				compareDisplayed(t, "crash=both/"+leg, runEngineDurable(t, loss, 1, at, nil, nil),
+					runEngineDurable(t, loss, 1, at, &both, nil))
+			}
+			// Batched emission with the full crash.
+			wantB := runEngineDurable(t, loss, 64, mid, nil, nil)
 			compareDisplayed(t, "crash=both/batch=64", wantB,
-				runEngineDurable(t, loss, 64, &both))
+				runEngineDurable(t, loss, 64, mid, &both, nil))
 		})
 	}
 }
@@ -242,8 +352,8 @@ func TestEngineKillRestartEquivalence(t *testing.T) {
 // journal must change the displayed stream under the lossless schedule,
 // proving the crash point is observable.
 func TestEngineCrashWithoutRecoveryDiverges(t *testing.T) {
-	want := runEngineDurable(t, nil, 1, nil)
-	got := runEngineDurable(t, nil, 1, &crashHalf{ce: true, recover: false})
+	want := runEngineDurable(t, nil, 1, engineDurableN/2, nil, nil)
+	got := runEngineDurable(t, nil, 1, engineDurableN/2, &crashHalf{ce: true, recover: false}, nil)
 	for name, wantAlerts := range want {
 		gotAlerts := got[name]
 		if len(gotAlerts) != len(wantAlerts) {
@@ -275,28 +385,24 @@ func TestSystemKillRestartEquivalence(t *testing.T) {
 		}
 		return m
 	}
-	const n = 600
-	emitHalf := func(s *System, from, to int) {
-		for i := from; i < to; i++ {
-			if _, err := s.Emit("x", float64((i*137)%1000)); err != nil {
-				t.Fatalf("Emit: %v", err)
-			}
-		}
-	}
-
-	run := func(crash bool) []event.Alert {
+	const (
+		n              = 600
+		adCompactEvery = 8
+	)
+	// run emits n updates, draining after the first at of them and there,
+	// with crash set, losing and recovering both halves of the displayer
+	// state. A probe run drains after every update so probe sees each
+	// displayed alert's effect on the AD log.
+	run := func(at int, crash bool, probe *walShape) []event.Alert {
 		dir := t.TempDir()
 		ceLog, err := durable.Open(filepath.Join(dir, "ce.wal"), durable.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		adLog, err := durable.Open(filepath.Join(dir, "ad.wal"), durable.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		adLog := probe.open(t, filepath.Join(dir, "ad.wal"))
 		defer ceLog.Close()
 		defer adLog.Close()
-		sys, err := New(c, durable.LogFilter(ad.NewAD1(), adLog, 8), Options{
+		sys, err := New(c, durable.LogFilter(ad.NewAD1(), adLog, adCompactEvery), Options{
 			Replicas: 1, Seed: 7, Loss: loss,
 			CEJournal: func(replica int) func(event.Update) error {
 				return func(u event.Update) error { return ceLog.Append(wireUpdate(u)) }
@@ -305,8 +411,21 @@ func TestSystemKillRestartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		emitHalf(sys, 0, n/2)
-		// Drain makes the crash point quiescent end to end: every first-half
+		emit := func(from, to int) {
+			for i := from; i < to; i++ {
+				if _, err := sys.Emit("x", float64((i*137)%1000)); err != nil {
+					t.Fatalf("Emit: %v", err)
+				}
+				if probe != nil {
+					if err := sys.Drain(); err != nil {
+						t.Fatalf("Drain: %v", err)
+					}
+					probe.sample(i)
+				}
+			}
+		}
+		emit(0, at)
+		// Drain makes the crash point quiescent end to end: every earlier
 		// alert has passed the AD filter, so replaying its log races with
 		// nothing. Both runs cross the same barrier.
 		if err := sys.Drain(); err != nil {
@@ -328,23 +447,27 @@ func TestSystemKillRestartEquivalence(t *testing.T) {
 			if _, err := durable.RecoverFilter(adLog, raw); err != nil {
 				t.Fatalf("RecoverFilter: %v", err)
 			}
-			sys.Displayer().ReplaceFilter(durable.LogFilter(raw, adLog, 8))
+			sys.Displayer().ReplaceFilter(durable.LogFilter(raw, adLog, adCompactEvery))
 		}
-		emitHalf(sys, n/2, n)
+		emit(at, n)
 		return sys.Close()
 	}
 
-	want := run(false)
-	if len(want) == 0 {
-		t.Fatal("baseline displayed nothing")
-	}
-	got := run(true)
-	if len(got) != len(want) {
-		t.Fatalf("crash run displayed %d alerts, baseline %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Key() != got[i].Key() {
-			t.Fatalf("alert %d: crash run %s, baseline %s", i, got[i].Key(), want[i].Key())
+	probe := newWALShape(adCompactEvery)
+	run(n, false, probe)
+	for leg, at := range probe.crashPoints(t, n/2) {
+		want := run(at, false, nil)
+		if len(want) == 0 {
+			t.Fatal("baseline displayed nothing")
+		}
+		got := run(at, true, nil)
+		if len(got) != len(want) {
+			t.Fatalf("%s: crash run displayed %d alerts, baseline %d", leg, len(got), len(want))
+		}
+		for i := range want {
+			if want[i].Key() != got[i].Key() {
+				t.Fatalf("%s: alert %d: crash run %s, baseline %s", leg, i, got[i].Key(), want[i].Key())
+			}
 		}
 	}
 }
@@ -365,43 +488,54 @@ func TestMultiSystemKillRestartEquivalence(t *testing.T) {
 		return nil
 	}
 	conds := equivConds()
-	const n = 300
-	emitHalf := func(sys *MultiSystem, from, to int) {
-		for i := from; i < to; i++ {
-			for _, v := range []event.VarName{"x", "y"} {
-				phase := int(hashVar(v) % 37)
-				if _, err := sys.Emit(v, float64(((i+phase)*13)%1000)); err != nil {
-					t.Fatalf("Emit: %v", err)
-				}
-			}
-		}
-	}
-
-	run := func(crash bool) map[string][]event.Alert {
+	const (
+		n              = 300
+		adCompactEvery = 8
+	)
+	// run emits n rounds of updates, draining after the first at of them
+	// and there, with crash set, losing and recovering every station's
+	// windows and every condition's filter. A probe run drains after every
+	// update so probe sees each displayed alert's effect on the AD logs.
+	run := func(at int, crash bool, probe *walShape) map[string][]event.Alert {
 		dir := t.TempDir()
 		ceLogs := make(map[string]*durable.Log)
 		adLogs := make(map[string]*durable.Log)
-		openLog := func(m map[string]*durable.Log, name string) *durable.Log {
-			l, err := durable.Open(filepath.Join(dir, name+".wal"), durable.Options{})
-			if err != nil {
-				t.Fatalf("durable.Open(%s): %v", name, err)
-			}
-			m[name] = l
-			return l
-		}
 		sys, err := NewMulti(conds, func(c cond.Condition) ad.Filter {
-			return durable.LogFilter(ad.NewAD1(), openLog(adLogs, "ad-"+c.Name()), 8)
+			l := probe.open(t, filepath.Join(dir, "ad-"+c.Name()+".wal"))
+			adLogs[c.Name()] = l
+			return durable.LogFilter(ad.NewAD1(), l, adCompactEvery)
 		}, MultiOptions{
 			Replicas: 2, Seed: 42, Loss: loss,
 			CEJournal: func(condName string, replica int) func(event.Update) error {
-				l := openLog(ceLogs, fmt.Sprintf("ce-%s-%d", condName, replica))
+				key := fmt.Sprintf("ce-%s-%d", condName, replica)
+				l, err := durable.Open(filepath.Join(dir, key+".wal"), durable.Options{})
+				if err != nil {
+					t.Fatalf("durable.Open(%s): %v", key, err)
+				}
+				ceLogs[key] = l
 				return func(u event.Update) error { return l.Append(wireUpdate(u)) }
 			},
 		})
 		if err != nil {
 			t.Fatalf("NewMulti: %v", err)
 		}
-		emitHalf(sys, 0, n/2)
+		emit := func(from, to int) {
+			for i := from; i < to; i++ {
+				for _, v := range []event.VarName{"x", "y"} {
+					phase := int(hashVar(v) % 37)
+					if _, err := sys.Emit(v, float64(((i+phase)*13)%1000)); err != nil {
+						t.Fatalf("Emit: %v", err)
+					}
+					if probe != nil {
+						if err := sys.Drain(); err != nil {
+							t.Fatalf("Drain: %v", err)
+						}
+						probe.sample(i)
+					}
+				}
+			}
+		}
+		emit(0, at)
 		if err := sys.Drain(); err != nil {
 			t.Fatalf("Drain: %v", err)
 		}
@@ -416,17 +550,17 @@ func TestMultiSystemKillRestartEquivalence(t *testing.T) {
 				t.Fatalf("VisitStations crash/recover: %v", err)
 			}
 			for _, c := range conds {
-				l := adLogs["ad-"+c.Name()]
+				l := adLogs[c.Name()]
 				raw := ad.NewAD1()
 				if _, err := durable.RecoverFilter(l, raw); err != nil {
 					t.Fatalf("RecoverFilter(%s): %v", c.Name(), err)
 				}
-				if err := sys.ReplaceFilter(c.Name(), durable.LogFilter(raw, l, 8)); err != nil {
+				if err := sys.ReplaceFilter(c.Name(), durable.LogFilter(raw, l, adCompactEvery)); err != nil {
 					t.Fatalf("ReplaceFilter(%s): %v", c.Name(), err)
 				}
 			}
 		}
-		emitHalf(sys, n/2, n)
+		emit(at, n)
 		if _, err := sys.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -443,13 +577,17 @@ func TestMultiSystemKillRestartEquivalence(t *testing.T) {
 		return out
 	}
 
-	want := run(false)
-	fired := 0
-	for _, alerts := range want {
-		fired += len(alerts)
+	probe := newWALShape(adCompactEvery)
+	run(n, false, probe)
+	for leg, at := range probe.crashPoints(t, n/2) {
+		want := run(at, false, nil)
+		fired := 0
+		for _, alerts := range want {
+			fired += len(alerts)
+		}
+		if fired == 0 {
+			t.Fatal("baseline displayed nothing")
+		}
+		compareDisplayed(t, "multisystem/crash="+leg, want, run(at, true, nil))
 	}
-	if fired == 0 {
-		t.Fatal("baseline displayed nothing")
-	}
-	compareDisplayed(t, "multisystem/crash", want, run(true))
 }

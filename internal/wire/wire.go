@@ -391,7 +391,10 @@ func AppendAlert(dst []byte, a event.Alert) ([]byte, error) {
 	if len(a.Cond) > maxStringLen || len(a.Source) > maxStringLen {
 		return nil, fmt.Errorf("wire: alert name fields exceed length limit")
 	}
-	vars := a.Histories.Vars()
+	// Alerts cover a handful of variables: listing them in a stack buffer
+	// keeps the encode allocation-free for callers that reuse dst.
+	var stack [4]event.VarName
+	vars := a.Histories.AppendVars(stack[:0])
 	if len(vars) > maxStringLen {
 		return nil, fmt.Errorf("wire: %d history variables exceed limit", len(vars))
 	}
