@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"condmon/internal/event"
+	"condmon/internal/wire"
 )
 
 // The duplicate-discard path of AD-1 is the steady state of a replicated
@@ -124,5 +125,65 @@ func TestAD4SuppressedOfferZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("suppressed AD-4 Offer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// offWire is the alert as the displayer gets it: through the encoder and the
+// back link's decoder, which hands it over with its key already built.
+func offWire(t *testing.T, a event.Alert) event.Alert {
+	t.Helper()
+	b, err := wire.EncodeAlert(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rest, err := wire.DecodeAlert(b)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("DecodeAlert: rest %d, err %v", len(rest), err)
+	}
+	return got
+}
+
+// What the filters cost on an alert that arrived over the wire: nothing
+// beyond the growth of their own maps. Before the decoder cached the key,
+// AD-3 serialized it once in Test and again in Accept of every Offer.
+func TestDecodedAlertOfferAllocs(t *testing.T) {
+	for _, mk := range []func() Filter{
+		func() Filter { return NewAD3("x") },
+		func() Filter { return NewAD4("x") },
+	} {
+		f := mk()
+		window := func(i int64) event.Alert {
+			return offWire(t, event.Alert{Cond: "c", Source: "CE1", Histories: event.HistorySet{
+				"x": {Var: "x", Recent: []event.Update{event.U("x", i+1, 1), event.U("x", i, 0)}},
+			}})
+		}
+		// Warm up: grow the seen and received maps well past the test range.
+		for i := int64(1); i <= 1024; i++ {
+			if !Offer(f, window(i)) {
+				t.Fatalf("%s: in-order alert %d rejected", f.Name(), i)
+			}
+		}
+		dup := window(1024)
+		if allocs := testing.AllocsPerRun(500, func() {
+			if Offer(f, dup) {
+				t.Fatalf("%s: duplicate passed", f.Name())
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: suppressed Offer of a decoded alert: %v allocs/op, want 0", f.Name(), allocs)
+		}
+		const runs = 100
+		fresh := make([]event.Alert, 0, runs+1)
+		for i := int64(1025); i <= 1025+runs; i++ {
+			fresh = append(fresh, window(i))
+		}
+		next := 0
+		if allocs := testing.AllocsPerRun(runs, func() {
+			if !Offer(f, fresh[next]) {
+				t.Fatalf("%s: in-order alert rejected", f.Name())
+			}
+			next++
+		}); allocs > 1 { // amortized map growth only
+			t.Errorf("%s: displayed Offer of a decoded alert: %v allocs/op, want ≤ 1", f.Name(), allocs)
+		}
 	}
 }

@@ -79,3 +79,39 @@ func TestFeedDiscardZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// A firing Feed pays for the alert and nothing else: the history set (map
+// header and its group), one backing array for every history snapshot, and
+// the precomputed key — no variable list, no per-variable slices, no
+// intermediate key buffer.
+func TestFeedFiringAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cond cond.Condition
+		vars []event.VarName
+	}{
+		{"single-variable degree 2", cond.MustParse("c", "x[0] - x[-1] > 0"), []event.VarName{"x"}},
+		{"two variables", cond.MustParse("c", "x[0] + y[0] - x[-1] > 0"), []event.VarName{"x", "y"}},
+	} {
+		e, err := New("CE1", c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, warm := int64(1_000_000), false
+		feed := func() {
+			n++
+			for _, v := range c.vars {
+				if _, fired, err := e.Feed(event.U(v, n, float64(n))); err != nil || warm && !fired {
+					t.Fatalf("Feed(%s %d): fired %v, err %v", v, n, fired, err)
+				}
+			}
+		}
+		feed()
+		feed()
+		warm = true // windows full: every Feed from here on fires
+		// One firing Feed per variable and run; each costs the same four.
+		if got, max := testing.AllocsPerRun(200, feed), float64(4*len(c.vars)); got > max {
+			t.Errorf("%s: firing Feed: %v allocs/op, want ≤ %v", c.name, got, max)
+		}
+	}
+}

@@ -9,7 +9,9 @@
 package ce
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"condmon/internal/cond"
@@ -102,11 +104,12 @@ type Evaluator struct {
 	id      string
 	cond    cond.Condition
 	windows map[event.VarName]*event.Window
-	// slots indexes the same windows for linear-scan lookup: with the
-	// paper's one-to-few-variable conditions, a short string-compare scan
-	// beats hashing the variable name on every HistoryOf/Feed (the hot
-	// path's dominant map cost). Nil when the variable set is large enough
-	// that the map wins.
+	// slots lists the same windows in ascending variable order. Lookups scan
+	// it while it is short: with the paper's one-to-few-variable conditions,
+	// a string-compare scan beats hashing the variable name on every
+	// HistoryOf/Feed (the hot path's dominant map cost); past slotScanMax
+	// variables the map wins. A firing evaluation walks it to snapshot the
+	// histories in the order event.NewAlertOf wants them.
 	slots []winSlot
 	down  bool
 
@@ -154,7 +157,7 @@ const slotScanMax = 8
 // window resolves the variable's update window, or nil if the evaluator
 // does not subscribe to it.
 func (e *Evaluator) window(v event.VarName) *event.Window {
-	if e.slots != nil {
+	if len(e.slots) <= slotScanMax {
 		for i := range e.slots {
 			if e.slots[i].v == v {
 				return e.slots[i].w
@@ -197,12 +200,11 @@ func New(id string, c cond.Condition) (*Evaluator, error) {
 		windows[v] = w
 	}
 	e := &Evaluator{id: id, cond: c, windows: windows, notFull: len(windows)}
-	if len(vars) <= slotScanMax {
-		e.slots = make([]winSlot, 0, len(vars))
-		for _, v := range vars {
-			e.slots = append(e.slots, winSlot{v: v, w: windows[v]})
-		}
+	e.slots = make([]winSlot, 0, len(windows))
+	for v, w := range windows {
+		e.slots = append(e.slots, winSlot{v: v, w: w})
 	}
+	slices.SortFunc(e.slots, func(a, b winSlot) int { return cmp.Compare(a.v, b.v) })
 	// Pick the fastest evaluation strategy the condition supports: a bound
 	// compiled program (DSL expressions), a snapshot-free view evaluator
 	// (built-ins), or the legacy materialized-HistorySet path.
@@ -430,7 +432,7 @@ func (e *Evaluator) Feed(u event.Update) (event.Alert, bool, error) {
 	if e.tr != nil {
 		e.feedSpan(u, obs.DispFired)
 	}
-	return event.NewAlert(e.cond.Name(), e.historySnapshot(), e.id), true, nil
+	return e.alert(), true, nil
 }
 
 // FeedBatch delivers a run of updates in order, appending the alert of
@@ -546,7 +548,7 @@ func (e *Evaluator) feedBatch(us []event.Update, dst []event.Alert) ([]event.Ale
 			if e.tr != nil {
 				e.feedSpan(u, obs.DispFired)
 			}
-			dst = append(dst, event.NewAlert(e.cond.Name(), e.historySnapshot(), e.id))
+			dst = append(dst, e.alert())
 		} else if e.tr != nil {
 			e.feedSpan(u, obs.DispFed)
 		}
@@ -567,14 +569,46 @@ func (e *Evaluator) evalLive() (bool, error) {
 	}
 }
 
-// historySnapshot builds the immutable H handed to the condition and
-// embedded in alerts.
+// historySnapshot builds the immutable H handed to a legacy condition.
 func (e *Evaluator) historySnapshot() event.HistorySet {
-	h := make(event.HistorySet, len(e.windows))
-	for v, w := range e.windows {
-		h[v] = w.History()
+	h := make(event.HistorySet, len(e.slots))
+	for _, sl := range e.slots {
+		h[sl.v] = sl.w.History()
 	}
 	return h
+}
+
+// alert builds the alert of a firing evaluation: every window snapshotted
+// into one backing array, listed in slot (ascending variable) order on the
+// stack, and handed to the one-pass constructor.
+func (e *Evaluator) alert() event.Alert {
+	var stack [4]event.History
+	return event.NewAlertOf(e.cond.Name(), snapshotHistories(stack[:0], e.slots, nil), e.id)
+}
+
+// snapshotHistories appends to dst an immutable copy of each slot's window
+// — its most recent degs[i] updates when degs is given, all of them
+// otherwise — carved out of a single allocation.
+func snapshotHistories(dst []event.History, slots []winSlot, degs []int) []event.History {
+	total := 0
+	for i, sl := range slots {
+		n := sl.w.Len()
+		if degs != nil && degs[i] < n {
+			n = degs[i]
+		}
+		total += n
+	}
+	buf := make([]event.Update, total)
+	for i, sl := range slots {
+		live := sl.w.Live().Recent
+		if degs != nil && degs[i] < len(live) {
+			live = live[:degs[i]]
+		}
+		n := copy(buf, live)
+		dst = append(dst, event.History{Var: sl.v, Recent: buf[:n:n]})
+		buf = buf[n:]
+	}
+	return dst
 }
 
 // T is the paper's mapping T: it returns the alert sequence a single fresh

@@ -257,3 +257,31 @@ func TestAlertHistoriesAreSnapshots(t *testing.T) {
 		t.Errorf("first alert mutated: seqno now %d, want 1", got)
 	}
 }
+
+// A condition may list its variables in any order; the alert's identity
+// must not depend on it (the evaluator keeps its windows sorted so that the
+// one-pass constructor applies, and the key is the canonical one either
+// way).
+func TestAlertIdentityIgnoresVariableOrder(t *testing.T) {
+	stream := []event.Update{
+		event.U("y", 1, 10), event.U("x", 1, 50), event.U("y", 2, 90), event.U("x", 3, 95),
+	}
+	for _, c := range []cond.Condition{
+		cond.GreaterThan{CondName: "g", X: "x", Y: "y"},
+		cond.GreaterThan{CondName: "g", X: "y", Y: "x"},
+	} {
+		alerts, err := T(c, stream)
+		if err != nil || len(alerts) == 0 {
+			t.Fatalf("%v: %d alerts, err %v", c.Vars(), len(alerts), err)
+		}
+		for _, a := range alerts {
+			want := event.NewAlert(a.Cond, a.Histories.Clone(), a.Source)
+			if a.Key() != want.Key() {
+				t.Errorf("%v: key %q, want %q", c.Vars(), a.Key(), want.Key())
+			}
+			if len(a.Histories) != 2 {
+				t.Errorf("%v: alert covers %d variables, want 2", c.Vars(), len(a.Histories))
+			}
+		}
+	}
+}

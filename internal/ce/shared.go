@@ -21,10 +21,10 @@ package ce
 //     holds at least the member's own degree — the moment a private
 //     evaluator's windows would have filled.
 //
-//   - Truncation: a firing member's alert embeds each window's
-//     HistoryPrefix at the member's own degree, so alert identities match
-//     the private-window baseline even though the shared window is sized
-//     to the maximum degree of its readers.
+//   - Truncation: a firing member's alert embeds each window's most recent
+//     updates at the member's own degree, so alert identities match the
+//     private-window baseline even though the shared window is sized to the
+//     maximum degree of its readers.
 
 import (
 	"fmt"
@@ -111,17 +111,27 @@ type Ref struct {
 // history truncation.
 type packState struct {
 	pack *cond.Pack
-	vars []event.VarName
-	meta map[int32]memberMeta
+	// slots lists the pack's variables, ascending, each with its shared
+	// window: what a firing member's alert is snapshotted from.
+	slots []winSlot
+	meta  map[int32]memberMeta
 }
 
 type memberMeta struct {
 	token uint64
-	// degs is the member's degree per pack variable, in vars order, used
+	// degs is the member's degree per pack variable, in slots order, used
 	// to truncate alert histories to the member's own view.
 	degs []int
-	// key is the canonical form of degs: the per-pack snapshot-cache key.
+	// key is the canonical form of degs: members with equal keys that fire
+	// on the same update share one history snapshot.
 	key string
+}
+
+// firedSnap is the alert of the first member of one degree signature to
+// fire in a pass; later members of the same signature derive theirs from it.
+type firedSnap struct {
+	key   string
+	alert event.Alert
 }
 
 // straggler is a condition outside the pack compiler's reach, evaluated by
@@ -152,7 +162,8 @@ type SharedEvaluator struct {
 	nMembers    int
 	nStragglers int
 
-	fired []int32 // scratch for Pack.EvalAppend
+	fired []int32     // scratch for Pack.EvalAppend
+	snaps []firedSnap // scratch: one entry per degree signature fired in a pass
 	m     *Metrics
 
 	// journal, when set, receives every update delivered to the lane (in
@@ -222,32 +233,33 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 		sig := varsSig(vars)
 		ps, ok := s.packs[sig]
 		if !ok {
-			ps = &packState{
-				pack: cond.NewPack(vars...),
-				vars: vars,
-				meta: make(map[int32]memberMeta),
+			ps = &packState{pack: cond.NewPack(vars...), meta: make(map[int32]memberMeta)}
+			for _, v := range ps.pack.Vars() {
+				ps.slots = append(ps.slots, winSlot{v: v})
 			}
 		}
 		if id, added := ps.pack.Add(c); added {
 			// Size the shared windows before the pack can be evaluated.
-			for _, v := range ps.vars {
-				if err := s.wins.Ensure(v, ps.pack.Degree(v)); err != nil {
+			for i := range ps.slots {
+				sl := &ps.slots[i]
+				if err := s.wins.Ensure(sl.v, ps.pack.Degree(sl.v)); err != nil {
 					ps.pack.Remove(id)
 					return Ref{}, fmt.Errorf("ce: %s: register %q: %w", s.id, c.Name(), err)
 				}
+				sl.w = s.wins.Window(sl.v)
 			}
-			degs := make([]int, len(ps.vars))
-			key := make([]byte, 0, 2*len(ps.vars))
-			for i, v := range ps.vars {
-				degs[i] = c.Degree(v)
+			degs := make([]int, len(ps.slots))
+			key := make([]byte, 0, 2*len(ps.slots))
+			for i, sl := range ps.slots {
+				degs[i] = c.Degree(sl.v)
 				key = strconv.AppendInt(key, int64(degs[i]), 10)
 				key = append(key, ',')
 			}
 			ps.meta[id] = memberMeta{token: token, degs: degs, key: string(key)}
 			if !ok {
 				s.packs[sig] = ps
-				for _, v := range ps.vars {
-					s.byVarP[v] = append(s.byVarP[v], ps)
+				for _, sl := range ps.slots {
+					s.byVarP[sl.v] = append(s.byVarP[sl.v], ps)
 				}
 			}
 			s.nMembers++
@@ -316,36 +328,25 @@ func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert
 		if w.TryPush(u) {
 			s.m.incFed()
 			for _, ps := range s.byVarP[u.Var] {
-				// snaps caches one truncated HistorySet per distinct degree
-				// signature within this (update, pack); members of equal
-				// degrees share the same immutable snapshot (alerts never
-				// mutate histories).
-				var snaps map[string]event.HistorySet
 				var err error
 				s.fired, err = ps.pack.EvalAppend(s.wins, s.fired[:0])
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("ce: %s: %w", s.id, err)
 				}
+				// One truncated snapshot per distinct degree signature within
+				// this (update, pack): members of equal degrees share the same
+				// immutable histories (alerts never mutate them) and differ
+				// only in the name their key starts with.
+				s.snaps = s.snaps[:0]
 				for _, id := range s.fired {
 					meta, ok := ps.meta[id]
 					if !ok {
 						continue
 					}
-					if snaps == nil {
-						snaps = make(map[string]event.HistorySet, 1)
-					}
-					hs, ok := snaps[meta.key]
-					if !ok {
-						hs = make(event.HistorySet, len(ps.vars))
-						for i, v := range ps.vars {
-							hs[v] = s.wins.Window(v).HistoryPrefix(meta.degs[i])
-						}
-						snaps[meta.key] = hs
-					}
 					s.m.incFired()
 					out = append(out, MemberAlert{
 						Token: meta.token,
-						Alert: event.NewAlert(ps.pack.MemberName(id), hs, s.id),
+						Alert: s.memberAlert(ps, ps.pack.MemberName(id), meta),
 					})
 				}
 			}
@@ -366,6 +367,21 @@ func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert
 		}
 	}
 	return out, firstErr
+}
+
+// memberAlert builds the alert of one fired pack member: derived from the
+// pass's earlier alert of the same degree signature when there is one,
+// snapshotted from the pack's windows at the member's degrees otherwise.
+func (s *SharedEvaluator) memberAlert(ps *packState, name string, meta memberMeta) event.Alert {
+	for i := range s.snaps {
+		if s.snaps[i].key == meta.key {
+			return s.snaps[i].alert.WithCond(name)
+		}
+	}
+	var stack [4]event.History
+	a := event.NewAlertOf(name, snapshotHistories(stack[:0], ps.slots, meta.degs), s.id)
+	s.snaps = append(s.snaps, firedSnap{key: meta.key, alert: a})
+	return a
 }
 
 // SetJournal attaches (or, with nil, detaches) a durable journal sink: fn

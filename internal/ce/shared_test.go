@@ -226,3 +226,54 @@ func TestSharedEvaluatorTokens(t *testing.T) {
 		t.Fatalf("alert = %+v, want token 7 source CE2", buf)
 	}
 }
+
+// TestSnapshotHistories pins the per-member view of shared windows that a
+// fired pack member's alert embeds: each history is the prefix a private
+// window of the member's own degree would hold, clamped to what the window
+// has, and an independent copy — all of them carved from one allocation
+// without one being able to grow into the next.
+func TestSnapshotHistories(t *testing.T) {
+	shared, _ := event.NewWindow("x", 3)
+	private, _ := event.NewWindow("x", 2)
+	for i := int64(1); i <= 5; i++ {
+		u := event.U("x", i, float64(i*10))
+		shared.Push(u)
+		private.Push(u)
+	}
+	short, _ := event.NewWindow("y", 5)
+	short.Push(event.U("y", 1, 1))
+	slots := []winSlot{{v: "x", w: shared}, {v: "y", w: short}}
+
+	got := snapshotHistories(nil, slots, []int{2, 3})
+	if len(got) != 2 || got[0].Var != "x" || got[1].Var != "y" {
+		t.Fatalf("snapshot = %v", got)
+	}
+	want := private.History()
+	if len(got[0].Recent) != len(want.Recent) {
+		t.Fatalf("prefix length %d, want %d", len(got[0].Recent), len(want.Recent))
+	}
+	for i := range want.Recent {
+		if got[0].Recent[i] != want.Recent[i] {
+			t.Fatalf("prefix[%d] = %v, want %v", i, got[0].Recent[i], want.Recent[i])
+		}
+	}
+	// Clamped when the window holds fewer than the degree asked for.
+	if len(got[1].Recent) != 1 {
+		t.Errorf("prefix of short window has %d entries, want 1", len(got[1].Recent))
+	}
+	// Without degrees, every window whole.
+	if all := snapshotHistories(nil, slots, nil); len(all[0].Recent) != 3 || len(all[1].Recent) != 1 {
+		t.Errorf("untruncated snapshot = %v", all)
+	}
+	// Snapshot independence: later pushes must not show through, and
+	// appending to one history must not write into its neighbour.
+	before, neighbour := got[0].Recent[0].SeqNo, got[1].Recent[0]
+	shared.Push(event.U("x", 6, 60))
+	_ = append(got[0].Recent, event.U("x", 99, 0))
+	if got[0].Recent[0].SeqNo != before {
+		t.Error("snapshot aliases window storage")
+	}
+	if got[1].Recent[0] != neighbour {
+		t.Error("appending to one history overwrote the next")
+	}
+}

@@ -221,20 +221,60 @@ type Alert struct {
 	// Source identifies the emitting CE ("CE1", "CE2", …). It is metadata
 	// for diagnostics only and takes no part in alert identity.
 	Source string
-	// key caches the canonical identity (see Key). Alerts built through
-	// NewAlert carry it precomputed so the AD filters never re-serialize
-	// histories; zero-valued alerts compute it lazily on first use.
+	// key caches the canonical identity (see Key). Alerts built through the
+	// constructors or decoded off the wire carry it precomputed so the AD
+	// filters never re-serialize histories; an Alert literal leaves it empty
+	// and Key serializes on demand.
 	key string
 }
 
-// NewAlert builds an alert with its canonical Key precomputed. The CE emits
-// alerts through this constructor so that every downstream identity check
-// (AD-1's duplicate map, AD-3's seen set) is a plain string hash instead of
-// a history serialization.
+// NewAlert builds an alert with its canonical Key precomputed, from
+// histories already held as a set. Tests, scenario tables and the decoder's
+// rare out-of-order input use it; the firing and decoding paths, which hold
+// their histories as an ordered list, build set and key in one pass with
+// NewAlertOf. Either way every downstream identity check (AD-1's duplicate
+// map, AD-3's seen set, the auditor's index) is a plain string hash instead
+// of a history serialization.
 func NewAlert(cond string, histories HistorySet, source string) Alert {
 	a := Alert{Cond: cond, Histories: histories, Source: source}
 	a.key = a.computeKey()
 	return a
+}
+
+// NewAlertOf builds the same alert NewAlert does from histories listed in
+// strictly ascending variable order — the order a CE keeps its windows in and
+// an encoder writes them in — filling the HistorySet and serializing the key
+// in the same pass, with no intermediate variable list and no map iteration.
+// The alert takes ownership of every Recent slice (callers hand over
+// snapshots, not live windows) but does not retain hists itself, so callers
+// list them in a stack buffer. A list that is not strictly ascending (out of
+// order, or naming a variable twice: the later entry wins, as in a map) takes
+// NewAlert's sorting path instead.
+func NewAlertOf(cond string, hists []History, source string) Alert {
+	hs := make(HistorySet, len(hists))
+	var stack [keyStack]byte
+	b := append(stack[:0], cond...)
+	for i, h := range hists {
+		if i > 0 && h.Var <= hists[i-1].Var {
+			for _, h := range hists {
+				hs[h.Var] = h
+			}
+			return NewAlert(cond, hs, source)
+		}
+		hs[h.Var] = h
+		b = appendKeyHistory(b, h)
+	}
+	return Alert{Cond: cond, Histories: hs, Source: source, key: string(b)}
+}
+
+// WithCond returns the alert as condition cond would have raised it from the
+// same evaluation: the histories (immutable, so shared) and source carry
+// over and the key is re-prefixed rather than re-serialized. A shared
+// evaluation pass uses it for members that read the same windows at the same
+// degrees.
+func (a Alert) WithCond(cond string) Alert {
+	key := a.Key()
+	return Alert{Cond: cond, Histories: a.Histories, Source: a.Source, key: cond + key[len(a.Cond):]}
 }
 
 // SeqNo returns a.seqno.v = Hv[0].seqno, the sequence number of the last
@@ -263,8 +303,9 @@ func (a Alert) MustSeqNo(v VarName) int64 {
 // fixed DM stream, sequence numbers determine values). Keys are also what
 // Φ ranges over in the completeness and consistency definitions.
 //
-// Alerts constructed with NewAlert return a precomputed key; hand-built
-// alerts (tests, decoders) serialize on each call.
+// Alerts built by NewAlert, NewAlertOf or a wire decoder carry the key
+// precomputed; only a hand-built Alert{…} literal (tests) serializes on each
+// call.
 func (a Alert) Key() string {
 	if a.key != "" {
 		return a.key
@@ -272,26 +313,38 @@ func (a Alert) Key() string {
 	return a.computeKey()
 }
 
+// keyStack sizes the stack buffers keys and display strings are serialized
+// in before their one allocation; longer ones spill to the heap.
+const keyStack = 128
+
 // computeKey serializes the canonical identity, e.g. "c2|x=⟨6,7⟩" (the
-// window's sequence numbers ascending, matching seq.Seq's rendering).
+// window's sequence numbers ascending, matching seq.Seq's rendering), in one
+// pass over the sorted variables: one allocation, the returned string.
 func (a Alert) computeKey() string {
-	b := make([]byte, 0, 64)
-	b = append(b, a.Cond...)
-	for _, v := range a.Histories.Vars() {
-		b = append(b, '|')
-		b = append(b, v...)
-		b = append(b, '=')
-		b = append(b, "⟨"...)
-		recent := a.Histories[v].Recent
-		for i := len(recent) - 1; i >= 0; i-- {
-			b = strconv.AppendInt(b, recent[i].SeqNo, 10)
-			if i > 0 {
-				b = append(b, ',')
-			}
-		}
-		b = append(b, "⟩"...)
+	var (
+		stack [keyStack]byte
+		vars  [4]VarName
+	)
+	b := append(stack[:0], a.Cond...)
+	for _, v := range a.Histories.AppendVars(vars[:0]) {
+		b = appendKeyHistory(b, a.Histories[v])
 	}
 	return string(b)
+}
+
+// appendKeyHistory appends one variable's part of the canonical key:
+// "|x=⟨6,7⟩".
+func appendKeyHistory(b []byte, h History) []byte {
+	b = append(b, '|')
+	b = append(b, h.Var...)
+	b = append(b, "=⟨"...)
+	for i := len(h.Recent) - 1; i >= 0; i-- {
+		b = strconv.AppendInt(b, h.Recent[i].SeqNo, 10)
+		if i > 0 {
+			b = append(b, ',')
+		}
+	}
+	return append(b, "⟩"...)
 }
 
 // Clone deep-copies the alert. The cached key carries over: identity is
@@ -301,14 +354,26 @@ func (a Alert) Clone() Alert {
 }
 
 // String renders the alert as a(2x,1y) in the paper's style, listing the
-// latest sequence number per variable.
+// latest sequence number per variable in variable order. A history with no
+// updates — which no CE emits but the wire format admits — renders as ?x.
 func (a Alert) String() string {
-	vars := a.Histories.Vars()
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = fmt.Sprintf("%d%s", a.Histories[v].Latest().SeqNo, v)
+	var (
+		stack [keyStack]byte
+		vars  [4]VarName
+	)
+	b := append(stack[:0], "a("...)
+	for i, v := range a.Histories.AppendVars(vars[:0]) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if recent := a.Histories[v].Recent; len(recent) > 0 {
+			b = strconv.AppendInt(b, recent[0].SeqNo, 10)
+		} else {
+			b = append(b, '?')
+		}
+		b = append(b, v...)
 	}
-	return "a(" + strings.Join(parts, ",") + ")"
+	return string(append(b, ')'))
 }
 
 // AlertSeqNos returns Π_v(alerts): the sequence ⟨a.seqno.v | a ∈ alerts⟩.
@@ -439,20 +504,6 @@ func (w *Window) Grow(degree int) {
 
 // Degree returns the window's capacity (the paper's N).
 func (w *Window) Degree() int { return w.degree }
-
-// HistoryPrefix snapshots the most recent d updates as an immutable
-// History. It is the per-member view of a shared window: a window sized to
-// the maximum degree of its readers serves a degree-d reader exactly the
-// history a private degree-d window would hold. d values beyond the
-// current length are clamped.
-func (w *Window) HistoryPrefix(d int) History {
-	if d > len(w.recent) {
-		d = len(w.recent)
-	}
-	h := History{Var: w.varName, Recent: make([]Update, d)}
-	copy(h.Recent, w.recent[:d])
-	return h
-}
 
 // Full reports whether the window holds `degree` updates. H is undefined —
 // and the condition cannot be evaluated — until the window is full

@@ -372,37 +372,111 @@ func TestWindowGrow(t *testing.T) {
 	}
 }
 
-// TestWindowHistoryPrefix pins the per-member view of a shared window: the
-// prefix of length d must equal the history a private degree-d window
-// would hold, and must be an independent snapshot.
-func TestWindowHistoryPrefix(t *testing.T) {
-	shared, _ := NewWindow("x", 3)
-	private, _ := NewWindow("x", 2)
-	for i := int64(1); i <= 5; i++ {
-		u := U("x", i, float64(i*10))
-		shared.Push(u)
-		private.Push(u)
+// Golden renderings: the rewritten String and key serializers must print
+// what the Sprintf/Join versions printed, byte for byte.
+func TestAlertStringAndKeyGolden(t *testing.T) {
+	cases := []struct {
+		a           Alert
+		str, keyStr string
+	}{
+		{alertOn("c1", histOf("x", 7)), "a(7x)", "c1|x=⟨7⟩"},
+		{alertOn("cm", histOf("y", 1), histOf("x", 2, 1)), "a(2x,1y)", "cm|x=⟨1,2⟩|y=⟨1⟩"},
+		{alertOn("c3", histOf("temp", 1203, 1201, 1200), histOf("a", 5), histOf("zz", 90, 88)),
+			"a(5a,1203temp,90zz)", "c3|a=⟨5⟩|temp=⟨1200,1201,1203⟩|zz=⟨88,90⟩"},
+		{alertOn(""), "a()", ""},
 	}
-	got := shared.HistoryPrefix(2)
-	want := private.History()
-	if len(got.Recent) != len(want.Recent) {
-		t.Fatalf("prefix length %d, want %d", len(got.Recent), len(want.Recent))
-	}
-	for i := range want.Recent {
-		if got.Recent[i] != want.Recent[i] {
-			t.Fatalf("prefix[%d] = %v, want %v", i, got.Recent[i], want.Recent[i])
+	for _, c := range cases {
+		if got := c.a.String(); got != c.str {
+			t.Errorf("String() = %q, want %q", got, c.str)
+		}
+		if got := c.a.Key(); got != c.keyStr {
+			t.Errorf("Key() = %q, want %q", got, c.keyStr)
 		}
 	}
-	// Clamped when the window holds fewer than d updates.
-	short, _ := NewWindow("y", 5)
-	short.Push(U("y", 1, 1))
-	if h := short.HistoryPrefix(3); len(h.Recent) != 1 {
-		t.Errorf("prefix of short window has %d entries, want 1", len(h.Recent))
+}
+
+// The wire format admits a history of length zero; printing an alert that
+// carries one must not panic (the AD prints every displayed alert).
+func TestAlertStringEmptyHistory(t *testing.T) {
+	a := alertOn("c", History{Var: "x"}, histOf("y", 4))
+	if got, want := a.String(), "a(?x,4y)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
-	// Snapshot independence: later pushes must not show through.
-	before := got.Recent[0].SeqNo
-	shared.Push(U("x", 6, 60))
-	if got.Recent[0].SeqNo != before {
-		t.Error("HistoryPrefix aliases window storage")
+	if got, want := a.Key(), "c|x=⟨⟩|y=⟨4⟩"; got != want {
+		t.Errorf("Key() = %q, want %q", got, want)
 	}
+}
+
+// NewAlertOf is NewAlert for histories held as a list: same set, same key,
+// whatever order the list comes in.
+func TestNewAlertOfMatchesNewAlert(t *testing.T) {
+	long := make([]int64, 40) // a key past the stack buffer
+	for i := range long {
+		long[i] = int64(1_000_000_000 - i)
+	}
+	cases := map[string][]History{
+		"single":    {histOf("x", 7, 6)},
+		"sorted":    {histOf("a", 3), histOf("b", 9, 8), histOf("c", 2, 1)},
+		"unsorted":  {histOf("c", 2, 1), histOf("a", 3), histOf("b", 9, 8)},
+		"five":      {histOf("a", 1), histOf("b", 2), histOf("c", 3), histOf("d", 4), histOf("e", 5)},
+		"duplicate": {histOf("a", 1), histOf("b", 2), histOf("a", 5, 4)},
+		"long":      {histOf("x", long...)},
+		"none":      nil,
+	}
+	for name, hists := range cases {
+		set := make(HistorySet)
+		for _, h := range hists {
+			set[h.Var] = h // a repeated variable: the later entry wins
+		}
+		want := NewAlert("cond", set, "CE1")
+		got := NewAlertOf("cond", hists, "CE1")
+		if got.Key() != want.Key() || got.key != want.key {
+			t.Errorf("%s: key %q, want %q", name, got.key, want.key)
+		}
+		if !got.Histories.Equal(want.Histories) {
+			t.Errorf("%s: histories %v, want %v", name, got.Histories, want.Histories)
+		}
+		if got.Cond != "cond" || got.Source != "CE1" {
+			t.Errorf("%s: cond/source = %q/%q", name, got.Cond, got.Source)
+		}
+	}
+}
+
+func TestAlertWithCond(t *testing.T) {
+	a := NewAlertOf("first", []History{histOf("x", 2, 1), histOf("y", 9)}, "CE1")
+	b := a.WithCond("second")
+	want := NewAlert("second", a.Histories, "CE1")
+	if b.key != want.key || b.Cond != "second" || b.Source != "CE1" || !b.Histories.Equal(a.Histories) {
+		t.Errorf("WithCond = %+v (key %q), want key %q", b, b.key, want.key)
+	}
+	// An alert literal has no cached key to re-prefix; the result still does.
+	if c := alertOn("first", histOf("x", 2, 1)).WithCond("second"); c.key != "second|x=⟨1,2⟩" {
+		t.Errorf("WithCond on a literal: key %q", c.key)
+	}
+}
+
+// Allocation pins of the alert's identity and display: one allocation each
+// (the returned string) for the serializers, the set (map header and its
+// group) plus the key for the constructor, nothing for a cached key.
+func TestAlertAllocs(t *testing.T) {
+	lit := alertOn("c2", histOf("x", 1_000_007, 1_000_006))
+	hists := []History{histOf("x", 1_000_007, 1_000_006)}
+	built := NewAlertOf("c2", hists, "CE1")
+	var sink string
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"String", 1, func() { sink = built.String() }},
+		{"computeKey", 1, func() { sink = lit.Key() }},
+		{"cached Key", 0, func() { sink = built.Key() }},
+		{"NewAlertOf", 3, func() { sink = NewAlertOf("c2", hists, "CE1").key }},
+		{"WithCond", 1, func() { sink = built.WithCond("c3").key }},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got > c.max {
+			t.Errorf("%s: %v allocs/op, want ≤ %v", c.name, got, c.max)
+		}
+	}
+	_ = sink
 }

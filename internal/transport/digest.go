@@ -1,12 +1,6 @@
 package transport
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"condmon/internal/runtime"
-	"condmon/internal/wire"
-)
+import "condmon/internal/wire"
 
 // This file completes the Section 2 checksum optimization end to end: CEs
 // whose AD runs an equality-only filter (AD-1) can ship compact digests on
@@ -21,23 +15,7 @@ func (s *TCPSender) SendDigest(d wire.Digest) error {
 	if err != nil {
 		return err
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("transport: digest frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("transport: SendDigest: %w", runtime.ErrClosed)
-	}
-	if _, err := s.conn.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: send digest header: %w", err)
-	}
-	if _, err := s.conn.Write(body); err != nil {
-		return fmt.Errorf("transport: send digest body: %w", err)
-	}
-	return nil
+	return s.sendFrame(body, "digest")
 }
 
 // Digests returns the stream of digest frames received from CEs using the

@@ -58,7 +58,7 @@ func (s *TCPSender) SendEvidence(e wire.Evidence) error {
 	if err != nil {
 		return err
 	}
-	return s.sendFrame(body)
+	return s.sendFrame(body, "evidence")
 }
 
 // Evidence returns the stream of evidence frames forwarded by CEs. The

@@ -12,7 +12,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -65,12 +64,15 @@ func (o *MuxSenderOptions) applyDefaults() {
 	}
 }
 
-// muxStream is one stream's pending coalesced run: encoded alert bodies in
-// Send order, reused across flushes.
+// muxStream is one stream's pending coalesced run, held exactly as it will
+// sit inside its 'M' frame: for each alert in Send order a 4-byte big-endian
+// length followed by that many bytes of wire.AppendAlert encoding. Send
+// appends an item in place; a flush copies whole spans of it behind frame
+// headers, finding the item boundaries by walking the lengths. The buffer is
+// reused across flushes.
 type muxStream struct {
-	id    uint32
-	items [][]byte
-	bytes int // sum of item body lengths
+	id  uint32
+	buf []byte
 }
 
 // MuxSender is the shared-connection CE side of a multiplexed back link.
@@ -87,7 +89,9 @@ type MuxSender struct {
 	streams map[uint32]*muxStream
 	order   []*muxStream // streams with pending items, first-Send order
 	pending int          // buffered payload bytes (items + per-item overhead)
-	timer   *time.Timer  // armed deadline flush, nil when idle
+	out     []byte       // the flush's assembled frames, reused
+	timer   *time.Timer  // deadline flush, created on first use and re-armed
+	armed   bool         // the timer is counting down to a flush
 	closed  bool
 	err     error // sticky write error: the connection is dead
 
@@ -119,40 +123,54 @@ func DialMux(addr string, opts MuxSenderOptions) (*MuxSender, error) {
 // flush — triggered by the size threshold, the deadline, an explicit Flush,
 // or Close — and arrives after every alert previously sent on the same
 // stream. After Close, Send returns the wrapped runtime.ErrClosed sentinel,
-// matching the front links' Emit-after-Close contract.
+// matching the front links' Emit-after-Close contract. An alert that cannot
+// be encoded or exceeds the frame limit is refused with the stream's pending
+// run untouched. In the steady state — stream known, buffer grown — Send
+// allocates nothing.
 func (s *MuxSender) Send(stream uint32, a event.Alert) error {
-	body, err := wire.EncodeAlert(a)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Encode behind the stream's pending run; the run only grows once the
+	// new slice is stored back, so every refusal below is its own rollback.
+	st := s.streams[stream]
+	var run []byte
+	if st != nil {
+		run = st.buf
+	}
+	grown, err := appendAlertItem(run, a)
 	if err != nil {
 		return err
 	}
-	if wire.MuxOverhead(1, len(body)) > maxFrame {
-		return fmt.Errorf("transport: alert of %d bytes exceeds frame limit", len(body))
+	item := len(grown) - len(run)
+	if body := item - lenPrefix; wire.MuxOverhead(1, body) > maxFrame {
+		return fmt.Errorf("transport: alert of %d bytes exceeds frame limit", body)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("transport: mux Send: %w", runtime.ErrClosed)
 	}
 	if s.err != nil {
 		return s.err
 	}
-	st, ok := s.streams[stream]
-	if !ok {
+	if st == nil {
 		st = &muxStream{id: stream}
 		s.streams[stream] = st
 	}
-	if len(st.items) == 0 {
+	if len(run) == 0 {
 		s.order = append(s.order, st)
 	}
-	st.items = append(st.items, body)
-	st.bytes += len(body)
-	s.pending += len(body) + 4
+	st.buf = grown
+	s.pending += item
 	s.cAlerts.Inc()
 	if s.pending >= s.opts.FlushBytes {
 		return s.flushLocked()
 	}
-	if s.timer == nil {
-		s.timer = time.AfterFunc(s.opts.FlushEvery, s.deadlineFlush)
+	if !s.armed {
+		if s.timer == nil {
+			s.timer = time.AfterFunc(s.opts.FlushEvery, s.deadlineFlush)
+		} else {
+			s.timer.Reset(s.opts.FlushEvery)
+		}
+		s.armed = true
 	}
 	return nil
 }
@@ -178,14 +196,15 @@ func (s *MuxSender) Flush() error {
 	return s.flushLocked()
 }
 
-// flushLocked encodes every pending stream run into 'M' frames — splitting
-// runs whose encoding would exceed maxFrame into several frames of the same
-// stream, so an oversized run never resets the connection — and writes them
-// with one syscall. The caller holds s.mu.
+// flushLocked frames every pending stream run — 'M' header, then as many
+// whole items of the run as fit under maxFrame and the 16-bit item count, so
+// an oversized run becomes several frames of the same stream and never
+// resets the connection — into one reused buffer and writes it with one
+// syscall. The caller holds s.mu.
 func (s *MuxSender) flushLocked() error {
-	if s.timer != nil {
+	if s.armed {
 		s.timer.Stop()
-		s.timer = nil
+		s.armed = false
 	}
 	if s.err != nil {
 		return s.err
@@ -193,7 +212,7 @@ func (s *MuxSender) flushLocked() error {
 	if len(s.order) == 0 {
 		return nil
 	}
-	var out []byte
+	out := s.out[:0]
 	frames := 0
 	// An annotated frame spends wire.TraceLen of its budget on the trailer.
 	frameBudget := maxFrame
@@ -201,34 +220,33 @@ func (s *MuxSender) flushLocked() error {
 		frameBudget -= wire.TraceLen
 	}
 	for _, st := range s.order {
-		items := st.items
-		for len(items) > 0 {
-			// Greedily pack items while the frame stays under the budget and
-			// the 16-bit item count has room.
-			n, bytes := 0, 0
-			for n < len(items) && n < 1<<16-1 {
-				if sz := wire.MuxOverhead(n+1, bytes+len(items[n])); sz > frameBudget && n > 0 {
+		for run := st.buf; len(run) > 0; frames++ {
+			// Greedily take items while the frame stays under the budget and
+			// the 16-bit item count has room; end already counts the items'
+			// length prefixes.
+			n, end := 0, 0
+			for end < len(run) && n < 1<<16-1 {
+				next := end + lenPrefix + int(binary.BigEndian.Uint32(run[end:]))
+				if wire.MuxOverhead(0, next) > frameBudget && n > 0 {
 					break
 				}
-				bytes += len(items[n])
-				n++
+				n, end = n+1, next
 			}
-			frame := encodeMuxItems(st.id, items[:n])
+			at := len(out)
+			out = append(out, 0, 0, 0, 0) // frame length, patched below
+			out = wire.AppendMuxHeader(out, st.id, n)
+			out = append(out, run[:end]...)
 			if s.opts.Annotate {
-				frame = wire.AppendTrace(frame, wire.Trace{Flags: wire.TraceFlagSampled})
+				out = wire.AppendTrace(out, wire.Trace{Flags: wire.TraceFlagSampled})
 			}
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-			out = append(out, hdr[:]...)
-			out = append(out, frame...)
-			items = items[n:]
-			frames++
+			patchFrameLen(out, at)
+			run = run[end:]
 		}
-		st.items = st.items[:0]
-		st.bytes = 0
+		st.buf = keepBuffer(st.buf, 2*s.opts.FlushBytes)
 	}
 	s.order = s.order[:0]
 	s.pending = 0
+	s.out = keepBuffer(out, 4*s.opts.FlushBytes)
 	s.cFrames.Add(int64(frames))
 	s.cFlushes.Inc()
 	if _, err := s.conn.Write(out); err != nil {
@@ -236,24 +254,6 @@ func (s *MuxSender) flushLocked() error {
 		return s.err
 	}
 	return nil
-}
-
-// encodeMuxItems assembles one 'M' frame from pre-encoded alert bodies —
-// the wire.AppendMux layout without re-encoding each alert.
-func encodeMuxItems(stream uint32, items [][]byte) []byte {
-	size := 1 + 4 + 2
-	for _, it := range items {
-		size += 4 + len(it)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, 'M')
-	out = binary.BigEndian.AppendUint32(out, stream)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(items)))
-	for _, it := range items {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(it)))
-		out = append(out, it...)
-	}
-	return out
 }
 
 // Close flushes buffered alerts and closes the shared connection. Later
@@ -382,30 +382,26 @@ func (l *MuxListener) acceptLoop() {
 func (l *MuxListener) handle(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() { _ = conn.Close() }()
-	go func() {
-		// Unblock reads when Close is called.
-		<-l.done
-		_ = conn.Close()
-	}()
-	var hdr [4]byte
+	defer closeOnDone(conn, l.done)()
+	// Per-connection decode memory: the frame buffer, the alert scratch and
+	// the name cache are reused for every frame. Decoded alerts alias none
+	// of them, so they outlive the next read.
+	var (
+		body    []byte
+		scratch []event.Alert
+		names   wire.Names
+	)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrame {
-			return // corrupt stream: a real TCP link would reset here
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
+		var err error
+		if body, err = readFrame(conn, body); err != nil {
+			return // closed, or a corrupt stream: a real TCP link would reset here
 		}
 		l.cFrames.Inc()
 		// Either frame kind may carry an optional trace trailer after its
 		// body.
 		switch body[0] {
 		case 'M':
-			m, itemErrs, rest, err := wire.DecodeMux(body)
+			m, itemErrs, rest, err := wire.DecodeMuxInto(body, scratch, &names)
 			if err != nil {
 				return // frame-level corruption: reset the connection
 			}
@@ -418,16 +414,16 @@ func (l *MuxListener) handle(conn net.Conn) {
 			// dropped, the rest of the run flows on.
 			l.cItemErrs.Add(int64(len(itemErrs)))
 			for _, a := range m.Alerts {
-				arrivalSpans(l.tr, a, t.Origin)
-				if l.observe != nil {
-					l.observe(a, t.Origin)
-				}
-				if !l.emit(StreamAlert{Stream: m.Stream, Alert: a}) {
+				if !l.deliver(StreamAlert{Stream: m.Stream, Alert: a}, t.Origin) {
 					return
 				}
 			}
+			// Keep the grown scratch, not the alerts: a quiet link must not
+			// pin its last frame's histories.
+			clear(m.Alerts)
+			scratch = m.Alerts
 		case 'A':
-			a, rest, err := wire.DecodeAlert(body)
+			a, rest, err := wire.DecodeAlertInto(body, &names)
 			if err != nil {
 				return
 			}
@@ -436,11 +432,7 @@ func (l *MuxListener) handle(conn net.Conn) {
 				return
 			}
 			l.lh.Touch()
-			arrivalSpans(l.tr, a, t.Origin)
-			if l.observe != nil {
-				l.observe(a, t.Origin)
-			}
-			if !l.emit(StreamAlert{Alert: a}) {
+			if !l.deliver(StreamAlert{Alert: a}, t.Origin) {
 				return
 			}
 		default:
@@ -449,9 +441,13 @@ func (l *MuxListener) handle(conn net.Conn) {
 	}
 }
 
-// emit hands one arrival to the merged channel, reporting false when the
-// listener is shutting down.
-func (l *MuxListener) emit(sa StreamAlert) bool {
+// deliver traces and observes one arrival, then hands it to the merged
+// channel, reporting false when the listener is shutting down.
+func (l *MuxListener) deliver(sa StreamAlert, origin int64) bool {
+	arrivalSpans(l.tr, sa.Alert, origin)
+	if l.observe != nil {
+		l.observe(sa.Alert, origin)
+	}
 	select {
 	case l.out <- sa:
 		l.cAlerts.Inc()

@@ -1202,11 +1202,82 @@ func (r *UDPReceiver) linkSpan(u event.Update, disp string, origin int64) {
 	})
 }
 
+// lenPrefix is the size of the big-endian length that precedes every
+// back-link frame and, inside an 'M' frame, every alert item.
+const lenPrefix = 4
+
+// appendAlertItem appends a length prefix and the alert's encoding behind it
+// — a whole 'A' frame on a dedicated link, one item of a mux run — with no
+// intermediate buffer. On an encode error dst is untouched.
+func appendAlertItem(dst []byte, a event.Alert) ([]byte, error) {
+	at := len(dst)
+	out, err := wire.AppendAlert(append(dst, 0, 0, 0, 0), a)
+	if err != nil {
+		return dst, err
+	}
+	patchFrameLen(out, at)
+	return out, nil
+}
+
+// patchFrameLen sets the length prefix at buf[at:] to cover the rest of buf.
+func patchFrameLen(buf []byte, at int) {
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-lenPrefix))
+}
+
+// keepFrameBytes is the largest frame buffer a dedicated-link sender holds
+// on to between Sends.
+const keepFrameBytes = 64 << 10
+
+// keepBuffer empties buf for reuse, letting go of one that an outsized
+// message grew past limit.
+func keepBuffer(buf []byte, limit int) []byte {
+	if cap(buf) > limit {
+		return nil
+	}
+	return buf[:0]
+}
+
+// readFrame reads one length-prefixed back-link frame into buf, growing it
+// when the frame does not fit, and returns the frame body. An empty or
+// over-limit length is an error: the stream is corrupt.
+func readFrame(conn io.Reader, buf []byte) ([]byte, error) {
+	var hdr [lenPrefix]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return buf, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n == 0 || n > maxFrame {
+		return buf, fmt.Errorf("transport: frame length %d out of range", n)
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	_, err := io.ReadFull(conn, buf)
+	return buf, err
+}
+
+// closeOnDone closes conn when done closes, unblocking a handler's read at
+// listener shutdown. The returned stop ends the watch when the handler
+// returns first, so a connection that comes and goes leaves nothing behind.
+func closeOnDone(conn net.Conn, done <-chan struct{}) (stop func()) {
+	gone := make(chan struct{})
+	go func() {
+		select {
+		case <-done:
+			_ = conn.Close()
+		case <-gone:
+		}
+	}()
+	return func() { close(gone) }
+}
+
 // TCPSender is the CE side of a back link: a reliable, ordered alert
 // stream to the AD.
 type TCPSender struct {
 	mu     sync.Mutex
 	conn   net.Conn
+	buf    []byte // the frame being written, reused
 	closed bool
 }
 
@@ -1225,11 +1296,7 @@ func DialAD(addr string) (*TCPSender, error) {
 // parity with the runtime's Emit-after-Close contract, instead of the raw
 // net error a write on a closed socket would surface.
 func (s *TCPSender) Send(a event.Alert) error {
-	body, err := wire.EncodeAlert(a)
-	if err != nil {
-		return err
-	}
-	return s.sendFrame(body)
+	return s.sendAlert(a, nil)
 }
 
 // SendTrace transmits one alert with a wire trace trailer appended after
@@ -1239,30 +1306,46 @@ func (s *TCPSender) Send(a event.Alert) error {
 // so only send annotated when the AD side is running ListenADOpts (or a
 // MuxListener) from this version on.
 func (s *TCPSender) SendTrace(a event.Alert, t wire.Trace) error {
-	body, err := wire.EncodeAlert(a)
+	return s.sendAlert(a, &t)
+}
+
+// sendAlert encodes the alert, and its trailer if any, straight into the
+// sender's frame buffer and writes the frame.
+func (s *TCPSender) sendAlert(a event.Alert, t *wire.Trace) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	frame, err := appendAlertItem(s.buf[:0], a)
 	if err != nil {
 		return err
 	}
-	return s.sendFrame(wire.AppendTrace(body, t))
+	if t != nil {
+		frame = wire.AppendTrace(frame, *t)
+		patchFrameLen(frame, 0)
+	}
+	return s.writeLocked(frame, "alert")
 }
 
-// sendFrame writes one length-prefixed frame under the sender mutex.
-func (s *TCPSender) sendFrame(body []byte) error {
-	if len(body) > maxFrame {
-		return fmt.Errorf("transport: alert frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+// sendFrame writes an already encoded body as one length-prefixed frame.
+func (s *TCPSender) sendFrame(body []byte, what string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	frame := append(append(s.buf[:0], 0, 0, 0, 0), body...)
+	patchFrameLen(frame, 0)
+	return s.writeLocked(frame, what)
+}
+
+// writeLocked checks and writes one assembled frame — prefix and body in a
+// single Write — and keeps its buffer for the next. The caller holds s.mu.
+func (s *TCPSender) writeLocked(frame []byte, what string) error {
+	s.buf = keepBuffer(frame, keepFrameBytes)
+	if n := len(frame) - lenPrefix; n > maxFrame {
+		return fmt.Errorf("transport: %s frame of %d bytes exceeds limit", what, n)
+	}
 	if s.closed {
 		return fmt.Errorf("transport: Send: %w", runtime.ErrClosed)
 	}
-	if _, err := s.conn.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: send alert header: %w", err)
-	}
-	if _, err := s.conn.Write(body); err != nil {
-		return fmt.Errorf("transport: send alert body: %w", err)
+	if _, err := s.conn.Write(frame); err != nil {
+		return fmt.Errorf("transport: send %s: %w", what, err)
 	}
 	return nil
 }
@@ -1352,9 +1435,11 @@ func arrivalSpans(tr *obs.Tracer, a event.Alert, origin int64) {
 	if tr == nil {
 		return
 	}
-	for _, v := range a.Histories.Vars() {
+	var stack [4]event.VarName
+	for _, v := range a.Histories.AppendVars(stack[:0]) {
+		seqNo, _ := a.SeqNo(v) // 0 for the empty history the wire admits
 		tr.Record(obs.Span{
-			Var: string(v), Seq: a.Histories[v].Latest().SeqNo,
+			Var: string(v), Seq: seqNo,
 			Stage: obs.StageBacklink, Replica: a.Source, Disp: obs.DispArrived,
 			Origin: origin,
 		})
@@ -1393,29 +1478,23 @@ func (l *ADListener) acceptLoop() {
 func (l *ADListener) handle(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() { _ = conn.Close() }()
-	go func() {
-		// Unblock reads when Close is called.
-		<-l.done
-		_ = conn.Close()
-	}()
-	var hdr [4]byte
+	defer closeOnDone(conn, l.done)()
+	// The frame buffer and the name cache are reused for every frame of the
+	// connection; nothing decoded aliases them.
+	var (
+		body  []byte
+		names wire.Names
+	)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrame {
-			return // corrupt stream: a real TCP link would reset here
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
+		var err error
+		if body, err = readFrame(conn, body); err != nil {
+			return // closed, or a corrupt stream: a real TCP link would reset here
 		}
 		// Frames are self-describing: dispatch on the wire tag byte. Either
 		// frame kind may carry an optional trace trailer after its body.
 		switch body[0] {
 		case 'A':
-			a, rest, err := wire.DecodeAlert(body)
+			a, rest, err := wire.DecodeAlertInto(body, &names)
 			if err != nil {
 				return
 			}

@@ -313,6 +313,16 @@ func MuxOverhead(n, bodyBytes int) int {
 	return muxHeaderLen + n*muxItemOverhead + bodyBytes
 }
 
+// AppendMuxHeader appends the fixed header of a mux frame that carries n
+// items (n ≤ 65 535, the caller's to ensure). A sender that holds its run
+// already encoded — per item a 32-bit length and an alert encoding, the
+// layout AppendMux writes — follows the header with those bytes as they are.
+func AppendMuxHeader(dst []byte, stream uint32, n int) []byte {
+	dst = append(dst, tagMux)
+	dst = binary.BigEndian.AppendUint32(dst, stream)
+	return binary.BigEndian.AppendUint16(dst, uint16(n))
+}
+
 // AppendMux appends the encoding of one stream's coalesced alert run to
 // dst. The run order is preserved on the wire; an empty run encodes to a
 // valid (if pointless) frame.
@@ -320,9 +330,7 @@ func AppendMux(dst []byte, stream uint32, alerts []event.Alert) ([]byte, error) 
 	if len(alerts) > maxStringLen {
 		return nil, fmt.Errorf("wire: mux run of %d alerts exceeds limit", len(alerts))
 	}
-	dst = append(dst, tagMux)
-	dst = binary.BigEndian.AppendUint32(dst, stream)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(alerts)))
+	dst = AppendMuxHeader(dst, stream, len(alerts))
 	for i, a := range alerts {
 		at := len(dst)
 		dst = binary.BigEndian.AppendUint32(dst, 0) // patched after encoding
@@ -347,6 +355,19 @@ func EncodeMux(stream uint32, alerts []event.Alert) ([]byte, error) {
 // alert is reported in itemErrs and skipped via its length prefix, so one
 // corrupt alert never costs the rest of the run.
 func DecodeMux(b []byte) (m Mux, itemErrs []ItemError, rest []byte, err error) {
+	return DecodeMuxInto(b, nil, nil)
+}
+
+// DecodeMuxInto is DecodeMux with caller-owned memory, the alert-side analog
+// of DecodeBatchInto: decoded alerts are appended to scratch[:0] (whose
+// backing array the returned Mux.Alerts aliases — reuse invalidates the
+// slice, not the alerts copied out of it), and condition, source and variable
+// names are resolved through names instead of allocating a fresh string
+// each. A nil names allocates; a nil or short scratch grows one. Nothing
+// returned aliases b, so a receiver reads its next frame into the same
+// buffer. Frame acceptance, item tolerance and results are identical to
+// DecodeMux, which is this function with neither.
+func DecodeMuxInto(b []byte, scratch []event.Alert, names *Names) (m Mux, itemErrs []ItemError, rest []byte, err error) {
 	if len(b) == 0 || b[0] != tagMux {
 		return Mux{}, nil, nil, errf("not a mux message")
 	}
@@ -357,9 +378,12 @@ func DecodeMux(b []byte) (m Mux, itemErrs []ItemError, rest []byte, err error) {
 	m.Stream = binary.BigEndian.Uint32(b)
 	n := int(binary.BigEndian.Uint16(b[4:]))
 	b = b[6:]
-	if n > 0 {
-		m.Alerts = make([]event.Alert, 0, n)
+	// Size for the run at once, but never beyond what the bytes present
+	// could hold: a hostile count must not buy an allocation.
+	if most := min(n, len(b)/muxItemOverhead); cap(scratch) < most {
+		scratch = make([]event.Alert, 0, most)
 	}
+	m.Alerts = scratch[:0]
 	for i := 0; i < n; i++ {
 		if len(b) < muxItemOverhead {
 			return Mux{}, nil, nil, errf("truncated mux item %d length", i)
@@ -371,7 +395,7 @@ func DecodeMux(b []byte) (m Mux, itemErrs []ItemError, rest []byte, err error) {
 		}
 		item := b[:ln]
 		b = b[ln:]
-		a, itemRest, err := DecodeAlert(item)
+		a, itemRest, err := DecodeAlertInto(item, names)
 		if err != nil {
 			itemErrs = append(itemErrs, ItemError{Index: i, Err: err})
 			continue
@@ -383,6 +407,40 @@ func DecodeMux(b []byte) (m Mux, itemErrs []ItemError, rest []byte, err error) {
 		m.Alerts = append(m.Alerts, a)
 	}
 	return m, itemErrs, b, nil
+}
+
+// Names is a bounded cache of the strings a back link repeats in every alert
+// — condition, source and variable names — so that a connection's decoder
+// allocates each once instead of once per alert. The zero value is ready; a
+// Names belongs to one decoding goroutine (one per connection). It holds at
+// most maxNames entries of at most maxNameLen bytes and starts over when
+// full, so a peer that invents names costs itself the cache, never the
+// receiver its memory.
+type Names struct {
+	m map[string]string
+}
+
+// Bounds of a Names cache: fixed, because the right size is "more names than
+// one connection's conditions and variables", not a tuning knob.
+const (
+	maxNames   = 256
+	maxNameLen = 64
+)
+
+// intern returns name as a string that does not alias it.
+func (n *Names) intern(name []byte) string {
+	if n == nil || len(name) > maxNameLen {
+		return string(name)
+	}
+	if s, ok := n.m[string(name)]; ok { // no conversion allocation
+		return s
+	}
+	if n.m == nil || len(n.m) >= maxNames {
+		n.m = make(map[string]string, 16)
+	}
+	s := string(name)
+	n.m[s] = s
+	return s
 }
 
 // AppendAlert appends the encoding of a full alert — condition, source and
@@ -424,15 +482,23 @@ func EncodeAlert(a event.Alert) ([]byte, error) {
 
 // DecodeAlert decodes a full alert, returning trailing bytes.
 func DecodeAlert(b []byte) (event.Alert, []byte, error) {
+	return DecodeAlertInto(b, nil)
+}
+
+// DecodeAlertInto is DecodeAlert with the alert's names resolved through
+// names (nil allocates each). It is the one alert decoder: the returned
+// alert carries its canonical key, built in the pass that fills its history
+// set, and shares no memory with b.
+func DecodeAlertInto(b []byte, names *Names) (event.Alert, []byte, error) {
 	if len(b) == 0 || b[0] != tagAlert {
 		return event.Alert{}, nil, errf("not an alert message")
 	}
 	b = b[1:]
-	condName, b, err := readString(b)
+	condName, b, err := readStringBytes(b)
 	if err != nil {
 		return event.Alert{}, nil, err
 	}
-	source, b, err := readString(b)
+	source, b, err := readStringBytes(b)
 	if err != nil {
 		return event.Alert{}, nil, err
 	}
@@ -441,9 +507,18 @@ func DecodeAlert(b []byte) (event.Alert, []byte, error) {
 	}
 	nvars := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	a := event.Alert{Cond: condName, Source: source, Histories: make(event.HistorySet, nvars)}
+	// Encoders list variables in ascending order, which is the form the
+	// one-pass constructor takes; hists collects them on the stack. A frame
+	// that lists them otherwise is still an alert: from the first name out
+	// of order on, set takes over so a repeated variable is caught where it
+	// appears.
+	var (
+		stack [4]event.History
+		hists = stack[:0]
+		set   event.HistorySet
+	)
 	for i := 0; i < nvars; i++ {
-		name, rest, err := readString(b)
+		name, rest, err := readStringBytes(b)
 		if err != nil {
 			return event.Alert{}, nil, err
 		}
@@ -456,21 +531,34 @@ func DecodeAlert(b []byte) (event.Alert, []byte, error) {
 		if len(b) < 16*n {
 			return event.Alert{}, nil, errf("truncated history body for %q", name)
 		}
-		h := event.History{Var: event.VarName(name), Recent: make([]event.Update, n)}
+		h := event.History{Var: event.VarName(names.intern(name)), Recent: make([]event.Update, n)}
 		for j := 0; j < n; j++ {
 			h.Recent[j] = event.Update{
-				Var:   event.VarName(name),
+				Var:   h.Var,
 				SeqNo: int64(binary.BigEndian.Uint64(b)),
 				Value: math.Float64frombits(binary.BigEndian.Uint64(b[8:])),
 			}
 			b = b[16:]
 		}
-		if _, dup := a.Histories[h.Var]; dup {
+		if set == nil && i > 0 && h.Var <= hists[i-1].Var {
+			set = make(event.HistorySet, nvars)
+			for _, prev := range hists {
+				set[prev.Var] = prev
+			}
+		}
+		if set == nil {
+			hists = append(hists, h)
+			continue
+		}
+		if _, dup := set[h.Var]; dup {
 			return event.Alert{}, nil, errf("duplicate history for variable %q", name)
 		}
-		a.Histories[h.Var] = h
+		set[h.Var] = h
 	}
-	return a, b, nil
+	if set != nil {
+		return event.NewAlert(names.intern(condName), set, names.intern(source)), b, nil
+	}
+	return event.NewAlertOf(names.intern(condName), hists, names.intern(source)), b, nil
 }
 
 // Digest is the compact alert representation of Section 2: the fields an
