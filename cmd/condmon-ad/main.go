@@ -1,7 +1,7 @@
 // Command condmon-ad runs the Alert Displayer: it accepts back-link TCP
-// connections from any number of Condition Evaluator replicas, merges
-// their alert streams, applies a filtering algorithm, and prints the
-// alerts a user would see.
+// connections from any number of Condition Evaluator processes, merges
+// their stream-tagged alerts, applies a filtering algorithm, and prints
+// the alerts a user would see (tagged "[stream N]" for N ≠ 0).
 //
 // Usage:
 //
@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"condmon/internal/ad"
 	"condmon/internal/audit"
@@ -56,7 +55,6 @@ func run(args []string, out io.Writer) error {
 		vars     = fs.String("vars", "x", "comma-separated condition variables")
 		n        = fs.Int("n", 0, "exit after this many received alerts (0 = run until interrupted)")
 		maddr    = fs.String("metrics", "", "serve /metrics and /debug/pprof/ on this address while running")
-		mux      = fs.Bool("mux", false, "accept the multiplexed back-link protocol (stream-tagged 'M' frames)")
 		tracing  = fs.Bool("tracing", false, "record backlink/ad spans in a flight recorder (served at /trace with -metrics)")
 		staleAft = fs.Duration("stale-after", 0, "back link reported stale on /healthz after this long without traffic (default 10s)")
 		stateDir = fs.String("state-dir", "", "directory for the durable filter-state WAL; recover from it on start and journal into it while running")
@@ -130,7 +128,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var au *audit.Auditor
-	var origins *originStore
 	if *auditOn {
 		var conds []cond.Condition
 		if *auditCnd != "" {
@@ -146,7 +143,6 @@ func run(args []string, out io.Writer) error {
 			LatencySLO:        *auditSLO,
 			Metrics:           reg,
 		})
-		origins = &originStore{m: make(map[string]int64)}
 	}
 
 	if *maddr != "" {
@@ -163,64 +159,38 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics: http://%s/metrics (trace at /trace, health at /healthz, audit at /audit)\n", srv.Addr())
 	}
 
-	// Normalize both listener shapes to one stream-tagged channel: the
-	// legacy per-connection listener reports everything as stream 0.
-	var (
-		alerts <-chan transport.StreamAlert
-		addr   string
-	)
-	// The listeners hand each decoded alert's trace-trailer origin to the
-	// origin store; the main loop takes it back out when the alert is
-	// offered, anchoring the auditor's end-to-end latency histogram.
-	var observe func(event.Alert, int64)
-	if origins != nil {
-		observe = origins.put
+	l, err := transport.ListenMux(*listen, transport.MuxListenerOptions{
+		Metrics: reg, Trace: tr, Health: hl, StaleAfter: *staleAft,
+	})
+	if err != nil {
+		return err
 	}
-	if *mux {
-		l, err := transport.ListenMux(*listen, transport.MuxListenerOptions{
-			Metrics: reg, Trace: tr, Health: hl, StaleAfter: *staleAft, Observe: observe,
-		})
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		alerts, addr = l.Alerts(), l.Addr()
-	} else {
-		l, err := transport.ListenADOpts(*listen, transport.ADListenerOptions{
-			Trace: tr, Health: hl, StaleAfter: *staleAft, Observe: observe,
-		})
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		if au != nil {
-			// DM evidence frames forwarded by auditing CEs feed the
-			// auditor's per-variable digest store.
-			go func() {
-				for ev := range l.Evidence() {
-					au.ObserveEvidence(ev)
-				}
-			}()
-		}
-		ch := make(chan transport.StreamAlert)
+	defer l.Close()
+	if au != nil {
+		// DM evidence frames forwarded by auditing CEs feed the auditor's
+		// per-variable digest store.
 		go func() {
-			defer close(ch)
-			for a := range l.Alerts() {
-				ch <- transport.StreamAlert{Alert: a}
+			for ev := range l.Evidence() {
+				au.ObserveEvidence(ev)
 			}
 		}()
-		alerts, addr = ch, l.Addr()
 	}
-	fmt.Fprintf(out, "AD listening on %s with %s\n", addr, filter.Name())
+	fmt.Fprintf(out, "AD listening on %s with %s\n", l.Addr(), filter.Name())
 
 	interrupt := make(chan os.Signal, 1)
 	signal.Notify(interrupt, os.Interrupt)
 	defer signal.Stop(interrupt)
 
 	received, displayed, suppressed := 0, 0, 0
-	// offer runs one alert through the filter, prints the outcome, and
-	// feeds the auditor (nil-safe when auditing is off).
-	offer := func(a event.Alert, tag string) {
+	// offer runs one arrival through the filter, prints the outcome, and
+	// feeds the auditor (nil-safe when auditing is off); a displayed alert's
+	// origin stamp anchors the auditor's end-to-end latency.
+	offer := func(sa transport.StreamAlert) {
+		a := sa.Alert
+		tag := ""
+		if sa.Stream != 0 {
+			tag = fmt.Sprintf(" [stream %d]", sa.Stream)
+		}
 		shown := ad.Offer(filter, a)
 		if journal != nil {
 			// Only a displayed alert is journaled, so a failure can only
@@ -233,11 +203,7 @@ func run(args []string, out io.Writer) error {
 		}
 		if shown {
 			displayed++
-			var origin int64
-			if origins != nil {
-				origin = origins.take(a.Key())
-			}
-			au.ObserveDisplayed(a, origin)
+			au.ObserveDisplayed(a, sa.Origin)
 			fmt.Fprintf(out, "ALERT %v from %s%s\n", a, a.Source, tag)
 		} else {
 			suppressed++
@@ -247,25 +213,23 @@ func run(args []string, out io.Writer) error {
 	}
 	// The reorder negative control holds one alert back and offers each
 	// pair swapped; the held alert is flushed on exit.
-	var held *event.Alert
-	var heldTag string
-	process := func(a event.Alert, tag string) {
+	var held *transport.StreamAlert
+	process := func(sa transport.StreamAlert) {
 		if *auditBrk != "reorder" {
-			offer(a, tag)
+			offer(sa)
 			return
 		}
 		if held == nil {
-			cp := a
-			held, heldTag = &cp, tag
+			held = &sa
 			return
 		}
-		offer(a, tag)
-		offer(*held, heldTag)
+		offer(sa)
+		offer(*held)
 		held = nil
 	}
 	finish := func() {
 		if held != nil {
-			offer(*held, heldTag)
+			offer(*held)
 			held = nil
 		}
 		fmt.Fprintf(out, "received=%d displayed=%d suppressed=%d\n", received, displayed, suppressed)
@@ -284,18 +248,13 @@ func run(args []string, out io.Writer) error {
 		case <-interrupt:
 			finish()
 			return nil
-		case sa, ok := <-alerts:
+		case sa, ok := <-l.Alerts():
 			if !ok {
 				finish()
 				return nil
 			}
-			a := sa.Alert
-			tag := ""
-			if *mux {
-				tag = fmt.Sprintf(" [stream %d]", sa.Stream)
-			}
 			received++
-			process(a, tag)
+			process(sa)
 			if *n > 0 && received >= *n {
 				finish()
 				return nil
@@ -313,29 +272,3 @@ type brokenDedup struct{ ad.Filter }
 func (brokenDedup) Test(event.Alert) bool { return true }
 func (brokenDedup) Accept(event.Alert)    {}
 func (b brokenDedup) Name() string        { return b.Filter.Name() + "+broken-dedup" }
-
-// originStore maps in-flight alert keys to the origin timestamps their
-// back-link frames carried, bridging the listener's Observe hook to the
-// offer path. Entries are removed when taken, so it stays bounded by the
-// number of alerts between arrival and offer.
-type originStore struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-func (s *originStore) put(a event.Alert, origin int64) {
-	if origin <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.m[a.Key()] = origin
-	s.mu.Unlock()
-}
-
-func (s *originStore) take(k string) int64 {
-	s.mu.Lock()
-	o := s.m[k]
-	delete(s.m, k)
-	s.mu.Unlock()
-	return o
-}

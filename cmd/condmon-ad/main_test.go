@@ -50,9 +50,9 @@ func TestRunDisplaysAndSuppresses(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	snd, err := transport.DialAD(addr)
+	snd, err := transport.DialMux(addr, transport.MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = snd.Close() }()
 	a := event.Alert{Cond: "c1", Source: "CE1", Histories: event.HistorySet{
@@ -62,8 +62,8 @@ func TestRunDisplaysAndSuppresses(t *testing.T) {
 	b.Source = "CE2"
 	c := a.Clone()
 	c.Histories["x"].Recent[0] = event.U("x", 2, 3200)
-	for _, alert := range []event.Alert{a, b, c} {
-		if err := snd.Send(alert); err != nil {
+	for i, alert := range []event.Alert{a, b, c} {
+		if err := snd.Send(uint32(i%2), alert); err != nil { // CE2's duplicate rides stream 1
 			t.Fatalf("Send: %v", err)
 		}
 	}
@@ -78,6 +78,9 @@ func TestRunDisplaysAndSuppresses(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, "displayed=2") || !strings.Contains(got, "suppressed=1") {
 		t.Errorf("summary missing:\n%s", got)
+	}
+	if !strings.Contains(got, "from CE2 [stream 1])") || strings.Contains(got, "[stream 0]") {
+		t.Errorf("want the duplicate tagged [stream 1] and stream 0 untagged:\n%s", got)
 	}
 }
 

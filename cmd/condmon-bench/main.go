@@ -13,8 +13,8 @@
 //
 // With -perf the paper experiments are skipped and the hot-path
 // measurement scenarios run instead; -scenario filters them by name
-// (CEFeed DSLEval Filters MultiSystem Backlink IngestThroughput
-// HotVariable AuditOverhead MillionConditions), -scale sizes the MillionConditions
+// (CEFeed DSLEval Filters MultiSystem IngestThroughput HotVariable
+// AuditOverhead MillionConditions), -scale sizes the MillionConditions
 // engine, and -hot-scale sizes the HotVariable bursts.
 package main
 
@@ -45,7 +45,7 @@ func run(args []string, out io.Writer) error {
 		lossP  = fs.Float64("loss", 0.3, "per-update front-link drop probability in lossy rows")
 		asCSV  = fs.Bool("csv", false, "emit curve experiments (benefit, tradeoff, replicas, downtime) as CSV")
 		perf   = fs.Bool("perf", false, "measure hot-path micro-benchmarks and emit JSON (see BENCH_PR1.json); skips the paper experiments")
-		scen   = fs.String("scenario", "", "with -perf, comma-separated scenario filter: CEFeed DSLEval Filters MultiSystem Backlink IngestThroughput HotVariable AuditOverhead MillionConditions all (default: all but MillionConditions)")
+		scen   = fs.String("scenario", "", "with -perf, comma-separated scenario filter: CEFeed DSLEval Filters MultiSystem IngestThroughput HotVariable AuditOverhead MillionConditions all (default: all but MillionConditions)")
 		scale  = fs.Int("scale", 1_000_000, "with -perf -scenario MillionConditions, how many conditions to register")
 		hscale = fs.Float64("hot-scale", 1.0, "with -perf -scenario HotVariable, burst-size multiplier (use ~0.05 for smoke runs)")
 		maddr  = fs.String("metrics", "", "with -perf, attach pipeline counters to the MultiSystem runs and serve /metrics and /debug/pprof/ on this address afterwards")

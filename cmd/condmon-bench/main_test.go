@@ -78,7 +78,7 @@ func TestParseScenarios(t *testing.T) {
 	if def["millionconditions"] {
 		t.Error("default selection must exclude MillionConditions")
 	}
-	for _, want := range []string{"cefeed", "dsleval", "filters", "multisystem", "backlink"} {
+	for _, want := range []string{"cefeed", "dsleval", "filters", "multisystem", "ingestthroughput"} {
 		if !def[want] {
 			t.Errorf("default selection missing %s", want)
 		}

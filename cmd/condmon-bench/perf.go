@@ -44,7 +44,6 @@ type perfReport struct {
 	GOARCH      string                      `json:"goarch"`
 	Benchmarks  map[string]perfResult       `json:"benchmarks,omitempty"`
 	MultiSystem map[string]throughputResult `json:"multi_system,omitempty"`
-	Backlink    map[string]backlinkResult   `json:"backlink,omitempty"`
 	Ingest      map[string]ingestResult     `json:"ingest,omitempty"`
 	Hot         map[string]hotVarResult     `json:"hot_variable,omitempty"`
 	Million     map[string]millionResult    `json:"million_conditions,omitempty"`
@@ -56,7 +55,7 @@ type perfReport struct {
 // MillionConditions: building a million-condition engine is a deliberate
 // act, opted into by name.
 var perfScenarios = []string{
-	"CEFeed", "DSLEval", "Filters", "MultiSystem", "Backlink", "IngestThroughput",
+	"CEFeed", "DSLEval", "Filters", "MultiSystem", "IngestThroughput",
 	"HotVariable", "AuditOverhead", "MillionConditions",
 }
 
@@ -331,26 +330,6 @@ func runPerf(out io.Writer, metricsAddr string, hold time.Duration, scenarios st
 				return fmt.Errorf("%s: %w", m.key, err)
 			}
 			report.MultiSystem[m.key] = res
-		}
-	}
-
-	if sel["backlink"] {
-		// The back-link fan-in scenario: 1000 conditions × 2 CE replicas =
-		// 2000 alert streams, carried either on 2000 dedicated connections
-		// or on one shared multiplexed connection.
-		report.Backlink = map[string]backlinkResult{}
-		for _, m := range []struct {
-			key    string
-			shared bool
-		}{
-			{"BacklinkFanIn/dedicated", false},
-			{"BacklinkFanIn/mux", true},
-		} {
-			res, err := backlinkThroughput(m.shared, 2000, 50)
-			if err != nil {
-				return fmt.Errorf("%s: %w", m.key, err)
-			}
-			report.Backlink[m.key] = res
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Command condmon-ce runs one Condition Evaluator replica: it listens for
 // updates on a UDP front-link endpoint, evaluates a condition over the
-// received histories, and forwards alerts to the Alert Displayer over a
-// reliable TCP back link.
+// received histories, and forwards alerts to the Alert Displayer over the
+// reliable TCP back link, tagged with this replica's -stream id.
 //
 // Usage:
 //
@@ -58,22 +58,18 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Int64("seed", 1, "seed for forced drops")
 		n        = fs.Int("n", 0, "exit after this many received updates (0 = run until interrupted)")
 		maddr    = fs.String("metrics", "", "serve /metrics and /debug/pprof/ on this address while running")
-		mux      = fs.Bool("mux", false, "speak the multiplexed back-link protocol (coalesced 'M' frames)")
-		stream   = fs.Uint("stream", 0, "mux stream id tagging this replica's alerts (with -mux)")
+		stream   = fs.Uint("stream", 0, "back-link stream id tagging this replica's alerts")
 		tracing  = fs.Bool("tracing", false, "record link/feed/backlink spans in a flight recorder (served at /trace with -metrics)")
 		staleAft = fs.Duration("stale-after", 0, "front link reported stale on /healthz after this long without traffic (default 10s)")
 		stateDir = fs.String("state-dir", "", "directory for the durable window-state WAL; recover from it on start and journal into it while running")
 		fsync    = fs.Int("fsync", 0, "fsync the WAL after every N journaled updates (1 = every update, 0 = leave delta persistence to the OS)")
-		auditFwd = fs.Bool("audit", false, "forward DM evidence frames arriving on the front link to the AD over the back link (needs the dedicated back-link protocol, not -mux)")
+		auditFwd = fs.Bool("audit", false, "forward DM evidence frames arriving on the front link to the AD over the back link")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *adAddr == "" || *condExpr == "" {
 		return fmt.Errorf("need -ad and -cond")
-	}
-	if *auditFwd && *mux {
-		return fmt.Errorf("-audit needs the dedicated back-link protocol; drop -mux")
 	}
 
 	c, err := cond.Parse("cond", *condExpr)
@@ -155,62 +151,39 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "%s listening on %s, forwarding to %s\n", *id, recv.Addr(), *adAddr)
 
-	// send forwards one alert over whichever back-link protocol was chosen:
-	// per-alert 'A' frames on a dedicated connection, or coalesced 'M'
-	// frames on a stream of the shared mux connection.
-	var send func(event.Alert) error
-	// sentSpans records one StageBacklink/sent span per history variable of
-	// a departing alert and returns the freshest front-link origin timestamp
-	// among them, for stamping the annotated alert frame.
-	sentSpans := func(a event.Alert) int64 {
-		var origin int64
-		for _, v := range a.Histories.Vars() {
-			if o := recv.LastOrigin(v); o > origin {
-				origin = o
-			}
-			tr.Record(obs.Span{
-				Var: string(v), Seq: a.Histories[v].Latest().SeqNo,
-				Stage: obs.StageBacklink, Replica: a.Source, Disp: obs.DispSent,
-			})
-		}
-		return origin
+	snd, err := transport.DialMux(*adAddr, transport.MuxSenderOptions{Metrics: reg})
+	if err != nil {
+		return err
 	}
-	if *mux {
-		ms, err := transport.DialMux(*adAddr, transport.MuxSenderOptions{Metrics: reg, Annotate: *tracing})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = ms.Close() }()
+	defer func() { _ = snd.Close() }()
+	if *auditFwd {
+		// Relay DM evidence digests to the AD-side auditor. Forwarding is
+		// best-effort like the rest of the evidence path: a send error only
+		// costs the frame (the next one's overlapping tail re-attests those
+		// values), and the alert path reports its own errors.
+		go func() {
+			for ev := range recv.Evidence() {
+				_ = snd.SendEvidence(ev)
+			}
+		}()
+	}
+	send := func(a event.Alert) error { return snd.Send(uint32(*stream), a) }
+	if tr != nil {
+		// A traced alert leaves one StageBacklink/sent span per history
+		// variable and carries the freshest front-link origin timestamp
+		// among them in its frame's trace trailer.
 		send = func(a event.Alert) error {
-			if tr != nil {
-				sentSpans(a)
-			}
-			return ms.Send(uint32(*stream), a)
-		}
-	} else {
-		snd, err := transport.DialAD(*adAddr)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = snd.Close() }()
-		if *auditFwd {
-			// Relay DM evidence digests to the AD-side auditor. Forwarding is
-			// best-effort like the rest of the evidence path: a send error
-			// only costs the frame (the next one's overlapping tail
-			// re-attests those values), and the alert path reports its own
-			// errors.
-			go func() {
-				for ev := range recv.Evidence() {
-					_ = snd.SendEvidence(ev)
+			var origin int64
+			for _, v := range a.Histories.Vars() {
+				if o := recv.LastOrigin(v); o > origin {
+					origin = o
 				}
-			}()
-		}
-		send = snd.Send
-		if tr != nil {
-			send = func(a event.Alert) error {
-				origin := sentSpans(a)
-				return snd.SendTrace(a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: origin})
+				tr.Record(obs.Span{
+					Var: string(v), Seq: a.Histories[v].Latest().SeqNo,
+					Stage: obs.StageBacklink, Replica: a.Source, Disp: obs.DispSent,
+				})
 			}
+			return snd.SendTrace(uint32(*stream), a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: origin})
 		}
 	}
 

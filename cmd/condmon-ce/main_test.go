@@ -30,10 +30,13 @@ func (w *syncWriter) String() string {
 	return w.b.String()
 }
 
+// The daemon on the coalesced back link: alerts arrive tagged with the
+// replica's -stream id, and with -audit the DM's evidence frames are relayed
+// on the same connection.
 func TestRunEvaluatesAndForwards(t *testing.T) {
-	adl, err := transport.ListenAD("127.0.0.1:0")
+	adl, err := transport.ListenMux("127.0.0.1:0", transport.MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
 
@@ -42,7 +45,7 @@ func TestRunEvaluatesAndForwards(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-id", "CE1", "-listen", "127.0.0.1:0", "-ad", adl.Addr(),
-			"-cond", "x[0] > 3000", "-n", "3",
+			"-cond", "x[0] > 3000", "-n", "3", "-stream", "7", "-audit",
 		}, out)
 	}()
 
@@ -65,6 +68,9 @@ func TestRunEvaluatesAndForwards(t *testing.T) {
 		t.Fatalf("NewUDPPublisher: %v", err)
 	}
 	defer pub.Close()
+	if err := pub.PublishEvidence(wire.Evidence{Var: "x", PrefixHash: wire.EvidenceHashSeed}); err != nil {
+		t.Fatalf("PublishEvidence: %v", err)
+	}
 	for i, val := range []float64{2900, 3100, 3200} {
 		if err := pub.Publish(event.U("x", int64(i+1), val)); err != nil {
 			t.Fatalf("Publish: %v", err)
@@ -72,15 +78,23 @@ func TestRunEvaluatesAndForwards(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Two alerts must arrive at the AD.
-	var alerts []wire.Digest
+	// Two alerts and the evidence frame must arrive at the AD.
+	alerts, evidence := 0, 0
 	timeout := time.After(10 * time.Second)
-	for len(alerts) < 2 {
+	for alerts < 2 || evidence < 1 {
 		select {
-		case a := <-adl.Alerts():
-			alerts = append(alerts, wire.DigestOf(a))
+		case sa := <-adl.Alerts():
+			if sa.Stream != 7 || sa.Alert.Source != "CE1" {
+				t.Errorf("alert %+v, want stream 7 from CE1", sa)
+			}
+			alerts++
+		case ev := <-adl.Evidence():
+			if ev.Var != "x" {
+				t.Errorf("evidence %+v, want x", ev)
+			}
+			evidence++
 		case <-timeout:
-			t.Fatalf("received %d alerts, want 2", len(alerts))
+			t.Fatalf("received %d alerts and %d evidence frames, want 2 and 1", alerts, evidence)
 		}
 	}
 	select {

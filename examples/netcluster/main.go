@@ -1,8 +1,9 @@
 // Netcluster: the full networked deployment of Figure 1(b) inside one
 // process — a Data Monitor multicasting UDP datagrams to two Condition
 // Evaluator replicas (one behind a deterministically lossy front link),
-// each forwarding alerts to the Alert Displayer over TCP. Everything uses
-// real sockets on loopback; the same binaries are available as separate
+// both forwarding alerts to the Alert Displayer over the process's one TCP
+// back link, a stream id per replica. Everything uses real sockets on
+// loopback; the same binaries are available as separate
 // processes via cmd/condmon-dm, cmd/condmon-ce and cmd/condmon-ad.
 //
 // Run with:
@@ -32,11 +33,16 @@ func main() {
 
 func run() error {
 	// Alert Displayer: TCP listener with AD-1 duplicate suppression.
-	adl, err := transport.ListenAD("127.0.0.1:0")
+	adl, err := transport.ListenMux("127.0.0.1:0", transport.MuxListenerOptions{})
 	if err != nil {
 		return err
 	}
 	defer adl.Close()
+	snd, err := transport.DialMux(adl.Addr(), transport.MuxSenderOptions{})
+	if err != nil {
+		return err
+	}
+	defer func() { _ = snd.Close() }()
 
 	// Two CE replicas on UDP endpoints; CE2's front link loses the 4th
 	// and 7th sensor readings.
@@ -55,11 +61,7 @@ func run() error {
 
 	overheat := cond.NewOverheat("x")
 	var ceWG sync.WaitGroup
-	startCE := func(id string, recv *transport.UDPReceiver) error {
-		snd, err := transport.DialAD(adl.Addr())
-		if err != nil {
-			return err
-		}
+	startCE := func(id string, stream uint32, recv *transport.UDPReceiver) error {
 		eval, err := ce.New(id, overheat)
 		if err != nil {
 			return err
@@ -67,7 +69,6 @@ func run() error {
 		ceWG.Add(1)
 		go func() {
 			defer ceWG.Done()
-			defer func() { _ = snd.Close() }()
 			for u := range recv.Updates() {
 				a, fired, err := eval.Feed(u)
 				if err != nil {
@@ -75,7 +76,7 @@ func run() error {
 					return
 				}
 				if fired {
-					if err := snd.Send(a); err != nil {
+					if err := snd.Send(stream, a); err != nil {
 						return
 					}
 				}
@@ -83,10 +84,10 @@ func run() error {
 		}()
 		return nil
 	}
-	if err := startCE("CE1", recv1); err != nil {
+	if err := startCE("CE1", 1, recv1); err != nil {
 		return err
 	}
-	if err := startCE("CE2", recv2); err != nil {
+	if err := startCE("CE2", 2, recv2); err != nil {
 		return err
 	}
 
@@ -112,6 +113,9 @@ func run() error {
 	recv1.Close()
 	recv2.Close()
 	ceWG.Wait()
+	if err := snd.Flush(); err != nil {
+		return err
+	}
 
 	filter := ad.NewAD1()
 	displayed, suppressed := 0, 0
@@ -119,7 +123,8 @@ func run() error {
 	fmt.Println("\nAlert Displayer output (AD-1):")
 	for {
 		select {
-		case a := <-adl.Alerts():
+		case sa := <-adl.Alerts():
+			a := sa.Alert
 			if ad.Offer(filter, a) {
 				displayed++
 				fmt.Printf("  ALERT %v from %s (reading %g)\n", a, a.Source, a.Histories["x"].Latest().Value)

@@ -10,15 +10,15 @@ import (
 )
 
 func TestDigestBackLinkRoundTrip(t *testing.T) {
-	adl, err := ListenAD("127.0.0.1:0")
+	adl, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
 
-	snd, err := DialAD(adl.Addr())
+	snd, err := DialMux(adl.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = snd.Close() }()
 
@@ -43,20 +43,20 @@ func TestMixedAlertAndDigestFrames(t *testing.T) {
 	// One CE sends full alerts, another sends digests; both arrive on the
 	// right channel of the same listener, and an AD-1d filter deduplicates
 	// across the two encodings.
-	adl, err := ListenAD("127.0.0.1:0")
+	adl, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
 
-	full, err := DialAD(adl.Addr())
+	full, err := DialMux(adl.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD full: %v", err)
+		t.Fatalf("DialMux full: %v", err)
 	}
 	defer func() { _ = full.Close() }()
-	compact, err := DialAD(adl.Addr())
+	compact, err := DialMux(adl.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD compact: %v", err)
+		t.Fatalf("DialMux compact: %v", err)
 	}
 	defer func() { _ = compact.Close() }()
 
@@ -65,7 +65,7 @@ func TestMixedAlertAndDigestFrames(t *testing.T) {
 	}}
 	dup := a.Clone()
 	dup.Source = "CE2"
-	if err := full.Send(a); err != nil {
+	if err := full.Send(1, a); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if err := compact.SendDigest(wire.DigestOf(dup)); err != nil {
@@ -78,10 +78,10 @@ func TestMixedAlertAndDigestFrames(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for received < 2 {
 		select {
-		case got := <-adl.Alerts():
+		case sa := <-adl.Alerts():
 			received++
-			if filter.Test(got) {
-				filter.Accept(got)
+			if filter.Test(sa.Alert) {
+				filter.Accept(sa.Alert)
 				displayed++
 			}
 		case d := <-adl.Digests():

@@ -1,12 +1,13 @@
 package transport
 
-// The audit evidence path over the wire: DMs publish CRC-framed prefix
-// digests of their emitted update sequences ('G' frames) alongside the
-// update stream, and CEs running with -audit forward them over the back
-// links so an AD-side auditor can cross-check displayed values against
-// what the source actually emitted. Evidence frames are a new optional
-// frame kind — decoders that predate the tag drop them whole (front links)
-// or reset the stream (back links), which is why every hop is opt-in.
+// The front-link half of the audit evidence path: DMs publish CRC-framed
+// prefix digests of their emitted update sequences ('G' frames) alongside
+// the update stream, and CEs running with -audit forward them over the back
+// link (MuxSender.SendEvidence) so an AD-side auditor can cross-check
+// displayed values against what the source actually emitted. Evidence frames
+// are an optional frame kind — decoders that predate the tag drop them whole
+// (front links) or reset the stream (back link), which is why every hop is
+// opt-in.
 
 import (
 	"fmt"
@@ -48,19 +49,3 @@ func (p *UDPPublisher) PublishEvidence(e wire.Evidence) error {
 // consumes are dropped rather than backpressuring the read loops. The
 // channel closes when the receiver is closed.
 func (r *UDPReceiver) Evidence() <-chan wire.Evidence { return r.evidence }
-
-// SendEvidence forwards one evidence frame over the back link as a
-// length-prefixed frame — how a CE relays DM digests to the AD-side
-// auditor. Like Send, it returns the wrapped runtime.ErrClosed sentinel
-// after Close.
-func (s *TCPSender) SendEvidence(e wire.Evidence) error {
-	body, err := wire.AppendEvidence(nil, e)
-	if err != nil {
-		return err
-	}
-	return s.sendFrame(body, "evidence")
-}
-
-// Evidence returns the stream of evidence frames forwarded by CEs. The
-// channel closes with the listener.
-func (l *ADListener) Evidence() <-chan wire.Evidence { return l.evs }

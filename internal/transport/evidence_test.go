@@ -93,14 +93,14 @@ func TestEvidencePublishReceive(t *testing.T) {
 // A CE forwarding evidence over the back link: SendEvidence frames arrive
 // on the listener's Evidence channel, interleaved with alerts on Alerts.
 func TestEvidenceBacklinkForward(t *testing.T) {
-	l, err := ListenAD("127.0.0.1:0")
+	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer l.Close()
-	s, err := DialAD(l.Addr())
+	s, err := DialMux(l.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = s.Close() }()
 
@@ -116,7 +116,7 @@ func TestEvidenceBacklinkForward(t *testing.T) {
 	al := event.NewAlert("c1", event.HistorySet{
 		"reactor": {Var: "reactor", Recent: []event.Update{event.U("reactor", 3, 3)}},
 	}, "CE1")
-	if err := s.Send(al); err != nil {
+	if err := s.Send(0, al); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 
@@ -130,12 +130,36 @@ func TestEvidenceBacklinkForward(t *testing.T) {
 	}
 	select {
 	case got := <-l.Alerts():
-		if got.Cond != "c1" {
+		if got.Alert.Cond != "c1" {
 			t.Fatalf("alert = %+v", got)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("alert never arrived after evidence frame")
 	}
+}
+
+// A CE forwarding evidence to an AD that never reads it — condmon-ad without
+// -audit — must not stall the alerts behind it once the buffer is full.
+func TestEvidenceUnreadDoesNotStallAlerts(t *testing.T) {
+	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
+	if err != nil {
+		t.Fatalf("ListenMux: %v", err)
+	}
+	defer l.Close()
+	s, err := DialMux(l.Addr(), MuxSenderOptions{})
+	if err != nil {
+		t.Fatalf("DialMux: %v", err)
+	}
+	defer func() { _ = s.Close() }()
+	for i := 0; i < 2*evidenceBuffer; i++ {
+		if err := s.SendEvidence(wire.Evidence{Var: "x", PrefixHash: wire.EvidenceHashSeed}); err != nil {
+			t.Fatalf("SendEvidence %d: %v", i, err)
+		}
+	}
+	if err := s.Send(0, testAlert("c", "CE1", 1)); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	collectStream(t, l, 1, 5*time.Second)
 }
 
 // Satellite regression for /healthz under the reorder layer: a datagram the

@@ -1,13 +1,15 @@
 package transport
 
-// This file is the multiplexed back link: every CE replica of a process
-// shares one TCP connection to the AD instead of dialing its own. The
+// This file is the back link (paper §2.1: lossless, in-order, CE → AD).
+// Every CE replica of a process shares one TCP connection to the AD. The
 // MuxSender tags each alert with a 32-bit stream id, coalesces small
 // writes into 'M' frames (flushed by size or deadline), and preserves
-// per-stream order; the MuxListener demultiplexes frames back into
-// (stream, alert) pairs. A thousand-replica deployment thus holds one
-// file descriptor per process on each side where the dedicated-connection
-// wiring holds one per replica.
+// per-stream order; digests ('D') and forwarded DM evidence ('G') travel
+// as standalone frames on the same connection, in send order with the
+// alerts. The MuxListener demultiplexes the frames back into (stream,
+// alert) pairs, digests and evidence. Frames are self-describing — the
+// first body byte is the wire tag — so one listener serves a mixed fleet,
+// including senders that write one plain 'A' frame per alert (stream 0).
 
 import (
 	"encoding/binary"
@@ -44,12 +46,6 @@ type MuxSenderOptions struct {
 	// <prefix>.flushes — alerts ≫ frames ≫ flushes is coalescing working.
 	Metrics       *obs.Registry
 	MetricsPrefix string
-	// Annotate appends a wire trace trailer to every flushed 'M' frame
-	// (sampled flag, no origin — a coalesced frame spans many origins), so
-	// a tracing MuxListener knows the sender participates in a traced run.
-	// Listeners that predate the trailer reject annotated frames, so leave
-	// this off unless the AD side is current.
-	Annotate bool
 }
 
 func (o *MuxSenderOptions) applyDefaults() {
@@ -75,12 +71,11 @@ type muxStream struct {
 	buf []byte
 }
 
-// MuxSender is the shared-connection CE side of a multiplexed back link.
-// Any number of streams (CE replicas, shards) send through one TCP
-// connection; alerts of one stream are delivered in Send order, and small
-// Sends are coalesced into 'M' frames flushed by size or deadline. All
-// methods are safe for concurrent use — replicas of one process share the
-// sender directly.
+// MuxSender is the CE side of the back link. Any number of streams (CE
+// replicas, shards) send through one TCP connection; alerts of one stream
+// are delivered in Send order, and small Sends are coalesced into 'M'
+// frames flushed by size or deadline. All methods are safe for concurrent
+// use — replicas of one process share the sender directly.
 type MuxSender struct {
 	opts MuxSenderOptions
 	conn net.Conn
@@ -88,8 +83,8 @@ type MuxSender struct {
 	mu      sync.Mutex
 	streams map[uint32]*muxStream
 	order   []*muxStream // streams with pending items, first-Send order
-	pending int          // buffered payload bytes (items + per-item overhead)
-	out     []byte       // the flush's assembled frames, reused
+	pending int          // buffered bytes: pending items plus closed frames
+	out     []byte       // closed frames awaiting the next flush, reused
 	timer   *time.Timer  // deadline flush, created on first use and re-armed
 	armed   bool         // the timer is counting down to a flush
 	closed  bool
@@ -98,8 +93,7 @@ type MuxSender struct {
 	cAlerts, cFrames, cFlushes *obs.Counter
 }
 
-// DialMux connects a shared back link to a MuxListener (or any AD endpoint
-// that understands 'M' frames).
+// DialMux connects a back link to a MuxListener.
 func DialMux(addr string, opts MuxSenderOptions) (*MuxSender, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -145,11 +139,8 @@ func (s *MuxSender) Send(stream uint32, a event.Alert) error {
 	if body := item - lenPrefix; wire.MuxOverhead(1, body) > maxFrame {
 		return fmt.Errorf("transport: alert of %d bytes exceeds frame limit", body)
 	}
-	if s.closed {
-		return fmt.Errorf("transport: mux Send: %w", runtime.ErrClosed)
-	}
-	if s.err != nil {
-		return s.err
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if st == nil {
 		st = &muxStream{id: stream}
@@ -159,8 +150,101 @@ func (s *MuxSender) Send(stream uint32, a event.Alert) error {
 		s.order = append(s.order, st)
 	}
 	st.buf = grown
-	s.pending += item
 	s.cAlerts.Inc()
+	return s.queuedLocked(item)
+}
+
+// SendTrace is Send for an alert that carries a wire trace trailer — the
+// sampled flag and the triggering update's origin timestamp. A trailer
+// annotates a whole frame, so the alert closes into a single-item 'M' frame
+// of its own, behind every frame already pending, and leaves in the same
+// flush as its untraced neighbours.
+func (s *MuxSender) SendTrace(stream uint32, a event.Alert, t wire.Trace) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	frame, err := s.openFrameLocked()
+	if err != nil {
+		return err
+	}
+	if frame, err = appendAlertItem(wire.AppendMuxHeader(frame, stream, 1), a); err != nil {
+		return err
+	}
+	if err := s.closeFrameLocked(wire.AppendTrace(frame, t), "alert"); err != nil {
+		return err
+	}
+	s.cAlerts.Inc()
+	return nil
+}
+
+// SendDigest sends an alert digest — the compact encoding for CEs whose AD
+// runs an equality-only filter — as a standalone 'D' frame, in order with
+// the alerts sent before and after it.
+func (s *MuxSender) SendDigest(d wire.Digest) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	frame, err := s.openFrameLocked()
+	if err != nil {
+		return err
+	}
+	if frame, err = wire.AppendDigest(frame, d); err != nil {
+		return err
+	}
+	return s.closeFrameLocked(frame, "digest")
+}
+
+// SendEvidence forwards one DM evidence frame as a standalone 'G' frame —
+// how a CE relays DM digests to the AD-side auditor.
+func (s *MuxSender) SendEvidence(e wire.Evidence) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	frame, err := s.openFrameLocked()
+	if err != nil {
+		return err
+	}
+	if frame, err = wire.AppendEvidence(frame, e); err != nil {
+		return err
+	}
+	return s.closeFrameLocked(frame, "evidence")
+}
+
+// usableLocked reports why the sender can take no more: closed, or the
+// connection failed under an earlier flush.
+func (s *MuxSender) usableLocked() error {
+	if s.closed {
+		return fmt.Errorf("transport: mux Send: %w", runtime.ErrClosed)
+	}
+	return s.err
+}
+
+// openFrameLocked starts a frame of its own behind everything pending: the
+// stream runs are closed into s.out first, so the frame can neither overtake
+// nor split them. The returned buffer is s.out plus an unpatched length
+// prefix; nothing is kept until closeFrameLocked stores it back.
+func (s *MuxSender) openFrameLocked() ([]byte, error) {
+	if err := s.usableLocked(); err != nil {
+		return nil, err
+	}
+	s.frameRunsLocked()
+	return append(s.out, 0, 0, 0, 0), nil
+}
+
+// closeFrameLocked patches the length of the frame openFrameLocked began,
+// keeps it for the next flush, and schedules that flush.
+func (s *MuxSender) closeFrameLocked(out []byte, what string) error {
+	at := len(s.out)
+	if n := len(out) - at - lenPrefix; n > maxFrame {
+		return fmt.Errorf("transport: %s frame of %d bytes exceeds limit", what, n)
+	}
+	patchFrameLen(out, at)
+	s.out = out
+	s.cFrames.Inc()
+	return s.queuedLocked(len(out) - at)
+}
+
+// queuedLocked accounts n newly buffered bytes and flushes them now, if the
+// buffer is full, or no later than the deadline.
+func (s *MuxSender) queuedLocked(n int) error {
+	s.pending += n
 	if s.pending >= s.opts.FlushBytes {
 		return s.flushLocked()
 	}
@@ -185,7 +269,7 @@ func (s *MuxSender) deadlineFlush() {
 	_ = s.flushLocked() // the error is sticky; the next Send reports it
 }
 
-// Flush writes every buffered alert out now. Useful before measuring and
+// Flush writes everything buffered out now. Useful before measuring and
 // when a caller needs bounded delivery without waiting for the deadline.
 func (s *MuxSender) Flush() error {
 	s.mu.Lock()
@@ -196,38 +280,22 @@ func (s *MuxSender) Flush() error {
 	return s.flushLocked()
 }
 
-// flushLocked frames every pending stream run — 'M' header, then as many
-// whole items of the run as fit under maxFrame and the 16-bit item count, so
-// an oversized run becomes several frames of the same stream and never
-// resets the connection — into one reused buffer and writes it with one
-// syscall. The caller holds s.mu.
-func (s *MuxSender) flushLocked() error {
-	if s.armed {
-		s.timer.Stop()
-		s.armed = false
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if len(s.order) == 0 {
-		return nil
-	}
-	out := s.out[:0]
+// frameRunsLocked closes every pending stream run into s.out — 'M' header,
+// then as many whole items of the run as fit under maxFrame and the 16-bit
+// item count, so an oversized run becomes several frames of the same stream
+// and never resets the connection. The caller holds s.mu.
+func (s *MuxSender) frameRunsLocked() {
+	out := s.out
 	frames := 0
-	// An annotated frame spends wire.TraceLen of its budget on the trailer.
-	frameBudget := maxFrame
-	if s.opts.Annotate {
-		frameBudget -= wire.TraceLen
-	}
 	for _, st := range s.order {
 		for run := st.buf; len(run) > 0; frames++ {
-			// Greedily take items while the frame stays under the budget and
+			// Greedily take items while the frame stays under the limit and
 			// the 16-bit item count has room; end already counts the items'
 			// length prefixes.
 			n, end := 0, 0
 			for end < len(run) && n < 1<<16-1 {
 				next := end + lenPrefix + int(binary.BigEndian.Uint32(run[end:]))
-				if wire.MuxOverhead(0, next) > frameBudget && n > 0 {
+				if wire.MuxOverhead(0, next) > maxFrame && n > 0 {
 					break
 				}
 				n, end = n+1, next
@@ -236,18 +304,33 @@ func (s *MuxSender) flushLocked() error {
 			out = append(out, 0, 0, 0, 0) // frame length, patched below
 			out = wire.AppendMuxHeader(out, st.id, n)
 			out = append(out, run[:end]...)
-			if s.opts.Annotate {
-				out = wire.AppendTrace(out, wire.Trace{Flags: wire.TraceFlagSampled})
-			}
 			patchFrameLen(out, at)
 			run = run[end:]
 		}
 		st.buf = keepBuffer(st.buf, 2*s.opts.FlushBytes)
 	}
 	s.order = s.order[:0]
+	s.out = out
+	s.cFrames.Add(int64(frames))
+}
+
+// flushLocked closes the pending runs behind the frames already closed and
+// writes the lot with one syscall. The caller holds s.mu.
+func (s *MuxSender) flushLocked() error {
+	if s.armed {
+		s.timer.Stop()
+		s.armed = false
+	}
+	if s.err != nil {
+		return s.err
+	}
+	s.frameRunsLocked()
+	out := s.out
+	if len(out) == 0 {
+		return nil
+	}
 	s.pending = 0
 	s.out = keepBuffer(out, 4*s.opts.FlushBytes)
-	s.cFrames.Add(int64(frames))
 	s.cFlushes.Inc()
 	if _, err := s.conn.Write(out); err != nil {
 		s.err = fmt.Errorf("transport: mux flush: %w", err)
@@ -256,8 +339,8 @@ func (s *MuxSender) flushLocked() error {
 	return nil
 }
 
-// Close flushes buffered alerts and closes the shared connection. Later
-// Sends return the wrapped runtime.ErrClosed sentinel.
+// Close flushes everything buffered and closes the connection. Later Sends
+// return the wrapped runtime.ErrClosed sentinel.
 func (s *MuxSender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -272,15 +355,17 @@ func (s *MuxSender) Close() error {
 	return flushErr
 }
 
-// StreamAlert is one demultiplexed back-link arrival: the alert plus the
-// stream id its sender tagged it with. Plain 'A' frames from non-mux
-// senders surface as stream 0.
+// StreamAlert is one demultiplexed back-link arrival: the alert, the stream
+// id its sender tagged it with, and the origin timestamp its frame's trace
+// trailer carried (0 when the frame had none). Plain 'A' frames surface as
+// stream 0.
 type StreamAlert struct {
 	Stream uint32
 	Alert  event.Alert
+	Origin int64
 }
 
-// MuxListenerOptions configure the AD side of a multiplexed back link.
+// MuxListenerOptions configure the AD side of the back link.
 type MuxListenerOptions struct {
 	// Metrics, if non-nil, registers listener counters under MetricsPrefix
 	// (default "transport.muxrecv"): <prefix>.alerts, <prefix>.frames, and
@@ -292,35 +377,31 @@ type MuxListenerOptions struct {
 	// demultiplexed alert (one per history variable, labelled with the
 	// alert's source replica).
 	Trace *obs.Tracer
-	// Health, if non-nil, registers the shared back link under "backlink"
-	// and touches it on every arriving frame; /healthz reports it stale
-	// after StaleAfter without traffic (obs.DefaultStaleAfter when ≤ 0).
+	// Health, if non-nil, registers the back link under "backlink" and
+	// touches it on every arriving frame; /healthz reports it stale after
+	// StaleAfter without traffic (obs.DefaultStaleAfter when ≤ 0).
 	Health     *obs.Health
 	StaleAfter time.Duration
-	// Observe, if non-nil, is invoked inline from the connection handler
-	// for every decoded alert with the origin timestamp carried by its
-	// frame's trace trailer (0 when unannotated), before the alert is
-	// enqueued — the AD-side auditor's latency anchor. It must not block.
-	Observe func(a event.Alert, originNanos int64)
 }
 
-// MuxListener is the AD side of multiplexed back links: it accepts any
-// number of shared connections, decodes 'M' frames (and plain 'A' frames
-// from legacy senders), and merges the demultiplexed streams into one
-// channel while preserving each stream's send order.
+// MuxListener is the AD side of the back link: it accepts any number of
+// connections, decodes their frames, and merges the demultiplexed streams
+// into one channel per kind — alerts, digests, evidence — while preserving
+// each stream's send order.
 type MuxListener struct {
-	ln   net.Listener
-	out  chan StreamAlert
-	wg   sync.WaitGroup
-	done chan struct{}
+	ln      net.Listener
+	out     chan StreamAlert
+	digests chan wire.Digest
+	evs     chan wire.Evidence
+	wg      sync.WaitGroup
+	done    chan struct{}
 
 	cAlerts, cFrames, cItemErrs *obs.Counter
 	tr                          *obs.Tracer
 	lh                          *obs.LinkHealth
-	observe                     func(event.Alert, int64)
 }
 
-// ListenMux starts a multiplexed AD endpoint on addr.
+// ListenMux starts an AD endpoint on addr.
 func ListenMux(addr string, opts MuxListenerOptions) (*MuxListener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -329,9 +410,10 @@ func ListenMux(addr string, opts MuxListenerOptions) (*MuxListener, error) {
 	l := &MuxListener{
 		ln:      ln,
 		out:     make(chan StreamAlert, updateBuffer),
+		digests: make(chan wire.Digest, updateBuffer),
+		evs:     make(chan wire.Evidence, evidenceBuffer),
 		done:    make(chan struct{}),
 		tr:      opts.Trace,
-		observe: opts.Observe,
 	}
 	if opts.Health != nil {
 		l.lh = opts.Health.Link("backlink", opts.StaleAfter)
@@ -359,12 +441,23 @@ func (l *MuxListener) Addr() string { return l.ln.Addr().String() }
 // Close once all connection handlers exit.
 func (l *MuxListener) Alerts() <-chan StreamAlert { return l.out }
 
-// Close shuts the listener and all connections down and closes Alerts.
+// Digests returns the digests received from CEs using the compact encoding.
+// Full alerts keep arriving on Alerts. The channel closes with the listener.
+func (l *MuxListener) Digests() <-chan wire.Digest { return l.digests }
+
+// Evidence returns the DM evidence frames forwarded by CEs. Frames nobody
+// consumes are dropped rather than backpressuring the alerts that share the
+// connection. The channel closes with the listener.
+func (l *MuxListener) Evidence() <-chan wire.Evidence { return l.evs }
+
+// Close shuts the listener and all connections down and closes its channels.
 func (l *MuxListener) Close() {
 	close(l.done)
 	_ = l.ln.Close()
 	l.wg.Wait()
 	close(l.out)
+	close(l.digests)
+	close(l.evs)
 }
 
 func (l *MuxListener) acceptLoop() {
@@ -379,6 +472,10 @@ func (l *MuxListener) acceptLoop() {
 	}
 }
 
+// handle reads one connection's frames until it closes or turns corrupt.
+// A frame that does not decode to exactly its length — bad tag, bad body,
+// trailing bytes — ends the connection, as a TCP reset would; only a corrupt
+// item inside an otherwise sound 'M' frame is skipped and counted.
 func (l *MuxListener) handle(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() { _ = conn.Close() }()
@@ -394,27 +491,27 @@ func (l *MuxListener) handle(conn net.Conn) {
 	for {
 		var err error
 		if body, err = readFrame(conn, body); err != nil {
-			return // closed, or a corrupt stream: a real TCP link would reset here
+			return
 		}
 		l.cFrames.Inc()
-		// Either frame kind may carry an optional trace trailer after its
-		// body.
+		// Alert and digest frames may carry an optional trace trailer after
+		// their body.
 		switch body[0] {
 		case 'M':
 			m, itemErrs, rest, err := wire.DecodeMuxInto(body, scratch, &names)
 			if err != nil {
-				return // frame-level corruption: reset the connection
+				return
 			}
 			t, _, rest, terr := wire.TakeTrace(rest)
 			if terr != nil || len(rest) != 0 {
-				return // frame-level corruption: reset the connection
+				return
 			}
 			l.lh.Touch()
 			// Item errors never desync the frame: the corrupt alerts are
 			// dropped, the rest of the run flows on.
 			l.cItemErrs.Add(int64(len(itemErrs)))
 			for _, a := range m.Alerts {
-				if !l.deliver(StreamAlert{Stream: m.Stream, Alert: a}, t.Origin) {
+				if !l.deliver(StreamAlert{Stream: m.Stream, Alert: a, Origin: t.Origin}) {
 					return
 				}
 			}
@@ -432,22 +529,46 @@ func (l *MuxListener) handle(conn net.Conn) {
 				return
 			}
 			l.lh.Touch()
-			if !l.deliver(StreamAlert{Alert: a}, t.Origin) {
+			if !l.deliver(StreamAlert{Alert: a, Origin: t.Origin}) {
 				return
 			}
+		case 'D':
+			d, rest, err := wire.DecodeDigest(body)
+			if err != nil {
+				return
+			}
+			if _, _, rest, terr := wire.TakeTrace(rest); terr != nil || len(rest) != 0 {
+				return
+			}
+			l.lh.Touch()
+			select {
+			case l.digests <- d:
+			case <-l.done:
+				return
+			}
+		case 'G':
+			ev, rest, err := wire.DecodeEvidence(body)
+			if err != nil || len(rest) != 0 {
+				return
+			}
+			l.lh.Touch()
+			// Evidence is best-effort (the next frame's tail re-covers a
+			// lost one): an AD that is not auditing, or lags, drops it
+			// rather than stall the alerts behind it.
+			select {
+			case l.evs <- ev:
+			default:
+			}
 		default:
-			return // unknown frame type: treat as a corrupt stream
+			return
 		}
 	}
 }
 
-// deliver traces and observes one arrival, then hands it to the merged
-// channel, reporting false when the listener is shutting down.
-func (l *MuxListener) deliver(sa StreamAlert, origin int64) bool {
-	arrivalSpans(l.tr, sa.Alert, origin)
-	if l.observe != nil {
-		l.observe(sa.Alert, origin)
-	}
+// deliver traces one arrival, then hands it to the merged channel,
+// reporting false when the listener is shutting down.
+func (l *MuxListener) deliver(sa StreamAlert) bool {
+	arrivalSpans(l.tr, sa.Alert, sa.Origin)
 	select {
 	case l.out <- sa:
 		l.cAlerts.Inc()

@@ -101,7 +101,7 @@ func TestMuxDeadlineFlush(t *testing.T) {
 }
 
 // TestMuxSendAfterClose pins the sentinel contract shared with the front
-// links: Send and Flush on a closed mux return the wrapped
+// links: every send and Flush on a closed mux return the wrapped
 // runtime.ErrClosed.
 func TestMuxSendAfterClose(t *testing.T) {
 	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
@@ -119,34 +119,17 @@ func TestMuxSendAfterClose(t *testing.T) {
 	if err := s.Send(0, testAlert("c", "CE1", 1)); !errors.Is(err, runtime.ErrClosed) {
 		t.Errorf("Send after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Flush(); !errors.Is(err, runtime.ErrClosed) {
-		t.Errorf("Flush after Close = %v, want ErrClosed", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("second Close = %v, want nil", err)
-	}
-}
-
-// TestTCPSenderSendAfterClose pins the same sentinel on the dedicated
-// back-link sender (previously a raw net error).
-func TestTCPSenderSendAfterClose(t *testing.T) {
-	l, err := ListenAD("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
-	}
-	defer l.Close()
-	s, err := DialAD(l.Addr())
-	if err != nil {
-		t.Fatalf("DialAD: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := s.Send(testAlert("c", "CE1", 1)); !errors.Is(err, runtime.ErrClosed) {
-		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	if err := s.SendTrace(0, testAlert("c", "CE1", 1), wire.Trace{}); !errors.Is(err, runtime.ErrClosed) {
+		t.Errorf("SendTrace after Close = %v, want ErrClosed", err)
 	}
 	if err := s.SendDigest(wire.DigestOf(testAlert("c", "CE1", 2))); !errors.Is(err, runtime.ErrClosed) {
 		t.Errorf("SendDigest after Close = %v, want ErrClosed", err)
+	}
+	if err := s.SendEvidence(wire.Evidence{Var: "x"}); !errors.Is(err, runtime.ErrClosed) {
+		t.Errorf("SendEvidence after Close = %v, want ErrClosed", err)
+	}
+	if err := s.Flush(); !errors.Is(err, runtime.ErrClosed) {
+		t.Errorf("Flush after Close = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
@@ -242,22 +225,20 @@ func TestMuxSingleOversizedAlertRejected(t *testing.T) {
 	}
 }
 
-// TestMuxListenerAcceptsLegacyAlertFrames: a plain TCPSender can talk to a
-// MuxListener; its alerts surface as stream 0.
+// TestMuxListenerAcceptsLegacyAlertFrames: a sender that writes one plain
+// 'A' frame per alert can talk to a MuxListener; its alerts surface as
+// stream 0.
 func TestMuxListenerAcceptsLegacyAlertFrames(t *testing.T) {
 	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
 		t.Fatalf("ListenMux: %v", err)
 	}
 	defer l.Close()
-	s, err := DialAD(l.Addr())
+	frame, err := appendAlertItem(nil, testAlert("legacy", "CE1", 4))
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("appendAlertItem: %v", err)
 	}
-	defer func() { _ = s.Close() }()
-	if err := s.Send(testAlert("legacy", "CE1", 4)); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
+	replay(t, l, frame)
 	got := collectStream(t, l, 1, 5*time.Second)
 	if got[0].Stream != 0 || got[0].Alert.Cond != "legacy" {
 		t.Errorf("got %v, want stream-0 legacy alert", got[0])

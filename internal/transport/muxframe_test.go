@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"os"
 	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"condmon/internal/event"
+	"condmon/internal/obs"
 	"condmon/internal/wire"
 )
 
@@ -45,7 +47,6 @@ func newRecordedSender(opts MuxSenderOptions, keep bool) (*MuxSender, *recordCon
 // for the bytes on the wire.
 type refMuxSender struct {
 	flushBytes int
-	annotate   bool
 	streams    map[uint32]*refStream
 	order      []*refStream
 	pending    int
@@ -86,16 +87,12 @@ func (s *refMuxSender) flush() {
 		return
 	}
 	var out []byte
-	frameBudget := maxFrame
-	if s.annotate {
-		frameBudget -= wire.TraceLen
-	}
 	for _, st := range s.order {
 		items := st.items
 		for len(items) > 0 {
 			n, size := 0, 0
 			for n < len(items) && n < 1<<16-1 {
-				if sz := wire.MuxOverhead(n+1, size+len(items[n])); sz > frameBudget && n > 0 {
+				if sz := wire.MuxOverhead(n+1, size+len(items[n])); sz > maxFrame && n > 0 {
 					break
 				}
 				size += len(items[n])
@@ -107,9 +104,6 @@ func (s *refMuxSender) flush() {
 			for _, it := range items[:n] {
 				frame = binary.BigEndian.AppendUint32(frame, uint32(len(it)))
 				frame = append(frame, it...)
-			}
-			if s.annotate {
-				frame = wire.AppendTrace(frame, wire.Trace{Flags: wire.TraceFlagSampled})
 			}
 			out = binary.BigEndian.AppendUint32(out, uint32(len(frame)))
 			out = append(out, frame...)
@@ -133,8 +127,7 @@ func wideAlert(cond string, seqNo int64, degree int) event.Alert {
 
 // TestMuxSenderGoldenBytes holds every Write of the sender to the bytes its
 // predecessor wrote for the same Send sequence: runs split at maxFrame and
-// at the 65 535-item count, interleaved streams, the Annotate trailer, and
-// size-triggered flushes.
+// at the 65 535-item count, interleaved streams, and size-triggered flushes.
 func TestMuxSenderGoldenBytes(t *testing.T) {
 	type send struct {
 		stream uint32
@@ -166,19 +159,16 @@ func TestMuxSenderGoldenBytes(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		flushBytes int
-		annotate   bool
 		sends      []send
 		writes     int
 	}{
-		{"interleaved streams", never, false, interleaved, 1},
-		{"interleaved streams, annotated", never, true, interleaved, 1},
-		{"split at maxFrame", never, false, overFrame, 1},
-		{"split at maxFrame, annotated", never, true, overFrame, 1},
-		{"split at 65535 items", never, false, overCount, 1},
-		{"size-triggered flushes", 0, true, sized, 5},
+		{"interleaved streams", never, interleaved, 1},
+		{"split at maxFrame", never, overFrame, 1},
+		{"split at 65535 items", never, overCount, 1},
+		{"size-triggered flushes", 0, sized, 5},
 	} {
-		s, conn := newRecordedSender(MuxSenderOptions{FlushBytes: c.flushBytes, FlushEvery: time.Hour, Annotate: c.annotate}, true)
-		ref := &refMuxSender{flushBytes: s.opts.FlushBytes, annotate: c.annotate, streams: map[uint32]*refStream{}}
+		s, conn := newRecordedSender(MuxSenderOptions{FlushBytes: c.flushBytes, FlushEvery: time.Hour}, true)
+		ref := &refMuxSender{flushBytes: s.opts.FlushBytes, streams: map[uint32]*refStream{}}
 		for i, sd := range c.sends {
 			if err := s.Send(sd.stream, sd.alert); err != nil {
 				t.Fatalf("%s: Send %d: %v", c.name, i, err)
@@ -316,43 +306,165 @@ func settleGoroutines(base int) int {
 // listener that stays up: neither its handler nor the goroutine that waits
 // to close it at listener shutdown.
 func TestListenersReleaseClosedConnections(t *testing.T) {
-	ml, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
+	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ml.Close()
-	al, err := ListenAD("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer al.Close()
+	defer l.Close()
 	base := goruntime.NumGoroutine()
-	for _, l := range []struct {
-		name string
-		addr string
-		recv func() bool
-	}{
-		{"MuxListener", ml.Addr(), func() bool { _, ok := <-ml.Alerts(); return ok }},
-		{"ADListener", al.Addr(), func() bool { _, ok := <-al.Alerts(); return ok }},
-	} {
-		for i := 0; i < 100; i++ {
-			s, err := DialAD(l.addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One alert through, so the handler is known to be running.
-			if err := s.Send(testAlert("c", "CE1", int64(i+1))); err != nil {
-				t.Fatal(err)
-			}
-			if !l.recv() {
-				t.Fatalf("%s closed", l.name)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < 100; i++ {
+		s, err := DialMux(l.Addr(), MuxSenderOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := settleGoroutines(base); n > base {
-			t.Errorf("%s: %d goroutines after 100 dial/close cycles, baseline %d", l.name, n, base)
+		// One alert through, so the handler is known to be running.
+		if err := s.Send(0, testAlert("c", "CE1", int64(i+1))); err != nil {
+			t.Fatal(err)
 		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := <-l.Alerts(); !ok {
+			t.Fatal("listener closed")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after 100 dial/close cycles, baseline %d", n, base)
+	}
+}
+
+// replay writes raw bytes to a listener over a fresh connection, as a sender
+// of any build would, and leaves the connection open until the test ends.
+func replay(t *testing.T, l *MuxListener, raw []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMuxPerAlertOrigin: traced and untraced alerts interleaved on one stream
+// leave in one write, arrive in send order, and each carries the origin of
+// its own trailer — none for the untraced ones between them.
+func TestMuxPerAlertOrigin(t *testing.T) {
+	s, conn := newRecordedSender(MuxSenderOptions{FlushBytes: 1 << 30, FlushEvery: time.Hour}, true)
+	origins := []int64{1001, 0, 1002, 0, 1003}
+	for i, o := range origins {
+		a := testAlert("c", "CE1", int64(i+1))
+		var err error
+		if o != 0 {
+			err = s.SendTrace(5, a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: o})
+		} else {
+			err = s.Send(5, a)
+		}
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 {
+		t.Fatalf("%d writes, want the five frames in one", len(conn.writes))
+	}
+	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	replay(t, l, conn.writes[0])
+	for i, sa := range collectStream(t, l, len(origins), 5*time.Second) {
+		if seqNo, _ := sa.Alert.SeqNo("x"); sa.Stream != 5 || seqNo != int64(i+1) || sa.Origin != origins[i] {
+			t.Errorf("arrival %d = stream %d seq %d origin %d, want stream 5 seq %d origin %d",
+				i, sa.Stream, seqNo, sa.Origin, i+1, origins[i])
+		}
+	}
+}
+
+// TestMuxStandaloneFramesKeepOrder: a digest and an evidence frame sent
+// between alerts leave in the same write, behind the alerts sent before them
+// and ahead of those sent after, without splitting either run.
+func TestMuxStandaloneFramesKeepOrder(t *testing.T) {
+	s, conn := newRecordedSender(MuxSenderOptions{FlushBytes: 1 << 30, FlushEvery: time.Hour}, true)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(s.Send(1, testAlert("c", "CE1", 1)))
+	must(s.Send(1, testAlert("c", "CE1", 2)))
+	must(s.SendDigest(wire.DigestOf(testAlert("c", "CE1", 2))))
+	must(s.SendEvidence(wire.Evidence{Var: "x", UpTo: 2, PrefixHash: wire.EvidenceHashSeed}))
+	must(s.Send(1, testAlert("c", "CE1", 3)))
+	must(s.Flush())
+	if len(conn.writes) != 1 {
+		t.Fatalf("%d writes, want 1", len(conn.writes))
+	}
+	var kinds []byte
+	for w := conn.writes[0]; len(w) > 0; {
+		n := int(binary.BigEndian.Uint32(w))
+		kinds = append(kinds, w[4])
+		w = w[4+n:]
+	}
+	if string(kinds) != "MDGM" {
+		t.Errorf("frame kinds on the wire = %q, want MDGM", kinds)
+	}
+}
+
+// TestLegacyFramesInterop replays the bytes a parent-build condmon-ce wrote
+// on its dedicated connection — a plain 'A' frame, an origin-stamped 'A'
+// frame, a 'D' digest and a 'G' evidence frame, captured from the dedicated
+// sender's Send/SendTrace/SendDigest/SendEvidence at commit 30100b8 — into
+// today's listener: an AD upgraded first keeps serving CEs that are not.
+func TestLegacyFramesInterop(t *testing.T) {
+	raw, err := os.ReadFile("testdata/legacy_dedicated.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(16)
+	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	replay(t, l, raw)
+
+	const origin = int64(1_700_000_000_123_456_789)
+	got := collectStream(t, l, 2, 5*time.Second)
+	for i, want := range []struct {
+		seqNo, origin int64
+	}{{3, 0}, {4, origin}} {
+		sa := got[i]
+		if seqNo, _ := sa.Alert.SeqNo("x"); sa.Stream != 0 || sa.Alert.Cond != "c1" || sa.Alert.Source != "CE1" ||
+			seqNo != want.seqNo || sa.Origin != want.origin {
+			t.Errorf("alert %d = %+v, want stream-0 c1 from CE1 at x=%d with origin %d", i, sa, want.seqNo, want.origin)
+		}
+	}
+	if s := waitSpans(t, tr, "x", 4, 1)[0]; s.Disp != obs.DispArrived || s.Origin != origin {
+		t.Errorf("arrival span of the stamped alert = %+v, want origin %d", s, origin)
+	}
+	select {
+	case d := <-l.Digests():
+		if d.Key() != wire.DigestOf(got[0].Alert).Key() || d.Source != "CE1" {
+			t.Errorf("digest = %+v, want the first alert's", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("digest never arrived")
+	}
+	select {
+	case ev := <-l.Evidence():
+		if ev.Var != "x" || ev.UpTo != 3 || len(ev.Vals) != 3 || ev.Vals[2] != 3200 {
+			t.Errorf("evidence = %+v, want x up to 3", ev)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("evidence never arrived")
 	}
 }

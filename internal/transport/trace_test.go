@@ -169,14 +169,14 @@ func TestUDPTracedLossAndDiscard(t *testing.T) {
 func TestTCPBackLinkTraced(t *testing.T) {
 	tr := obs.NewTracer(64)
 	hl := obs.NewHealth()
-	adl, err := ListenADOpts("127.0.0.1:0", ADListenerOptions{Trace: tr, Health: hl, StaleAfter: time.Hour})
+	adl, err := ListenMux("127.0.0.1:0", MuxListenerOptions{Trace: tr, Health: hl, StaleAfter: time.Hour})
 	if err != nil {
-		t.Fatalf("ListenADOpts: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
-	snd, err := DialAD(adl.Addr())
+	snd, err := DialMux(adl.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = snd.Close() }()
 
@@ -184,13 +184,13 @@ func TestTCPBackLinkTraced(t *testing.T) {
 		"x": {Var: "x", Recent: []event.Update{event.U("x", 3, 3200)}},
 	}}
 	const origin = int64(987654321)
-	if err := snd.SendTrace(a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: origin}); err != nil {
+	if err := snd.SendTrace(0, a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: origin}); err != nil {
 		t.Fatalf("SendTrace: %v", err)
 	}
 	select {
 	case got := <-adl.Alerts():
-		if got.Key() != a.Key() {
-			t.Errorf("received %v, want %v", got, a)
+		if got.Alert.Key() != a.Key() || got.Origin != origin {
+			t.Errorf("received %+v, want %v with origin %d", got, a, origin)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("alert did not arrive")
@@ -205,8 +205,8 @@ func TestTCPBackLinkTraced(t *testing.T) {
 	}
 }
 
-// An annotating mux sender against a tracing mux listener: frames carry
-// the sampled trailer and every demultiplexed alert leaves an arrival span.
+// An untraced sender against a tracing listener: every demultiplexed alert
+// of a coalesced frame still leaves an arrival span.
 func TestMuxTraced(t *testing.T) {
 	tr := obs.NewTracer(64)
 	hl := obs.NewHealth()
@@ -215,7 +215,7 @@ func TestMuxTraced(t *testing.T) {
 		t.Fatalf("ListenMux: %v", err)
 	}
 	defer l.Close()
-	ms, err := DialMux(l.Addr(), MuxSenderOptions{Annotate: true})
+	ms, err := DialMux(l.Addr(), MuxSenderOptions{})
 	if err != nil {
 		t.Fatalf("DialMux: %v", err)
 	}

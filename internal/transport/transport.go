@@ -10,9 +10,10 @@
 //     loss model injects deterministic drops for testing and demos, since
 //     loopback UDP rarely loses packets on its own.
 //
-//   - Back links (CE → AD) use TCP with length-prefixed frames: reliable
-//     and ordered, matching the paper's argument that alert traffic is low
-//     and too valuable to lose.
+//   - The back link (CE → AD) uses TCP with length-prefixed frames:
+//     reliable and ordered, matching the paper's argument that alert
+//     traffic is low and too valuable to lose. The replicas of one process
+//     share one connection (mux.go).
 package transport
 
 import (
@@ -29,7 +30,6 @@ import (
 	"condmon/internal/event"
 	"condmon/internal/link"
 	"condmon/internal/obs"
-	"condmon/internal/runtime"
 	"condmon/internal/seq"
 	"condmon/internal/wire"
 
@@ -1207,8 +1207,8 @@ func (r *UDPReceiver) linkSpan(u event.Update, disp string, origin int64) {
 const lenPrefix = 4
 
 // appendAlertItem appends a length prefix and the alert's encoding behind it
-// — a whole 'A' frame on a dedicated link, one item of a mux run — with no
-// intermediate buffer. On an encode error dst is untouched.
+// — one item of a mux run — with no intermediate buffer. On an encode error
+// dst is untouched.
 func appendAlertItem(dst []byte, a event.Alert) ([]byte, error) {
 	at := len(dst)
 	out, err := wire.AppendAlert(append(dst, 0, 0, 0, 0), a)
@@ -1223,10 +1223,6 @@ func appendAlertItem(dst []byte, a event.Alert) ([]byte, error) {
 func patchFrameLen(buf []byte, at int) {
 	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-lenPrefix))
 }
-
-// keepFrameBytes is the largest frame buffer a dedicated-link sender holds
-// on to between Sends.
-const keepFrameBytes = 64 << 10
 
 // keepBuffer empties buf for reuse, letting go of one that an outsized
 // message grew past limit.
@@ -1272,165 +1268,8 @@ func closeOnDone(conn net.Conn, done <-chan struct{}) (stop func()) {
 	return func() { close(gone) }
 }
 
-// TCPSender is the CE side of a back link: a reliable, ordered alert
-// stream to the AD.
-type TCPSender struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	buf    []byte // the frame being written, reused
-	closed bool
-}
-
-// DialAD connects to an ADListener.
-func DialAD(addr string) (*TCPSender, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial AD %q: %w", addr, err)
-	}
-	return &TCPSender{conn: conn}, nil
-}
-
-// Send transmits one alert as a length-prefixed frame. Unlike the front
-// links, errors are returned: back links must not lose alerts silently.
-// After Close, Send returns the wrapped runtime.ErrClosed sentinel —
-// parity with the runtime's Emit-after-Close contract, instead of the raw
-// net error a write on a closed socket would surface.
-func (s *TCPSender) Send(a event.Alert) error {
-	return s.sendAlert(a, nil)
-}
-
-// SendTrace transmits one alert with a wire trace trailer appended after
-// the alert body inside the frame, carrying the sampled flag and the
-// triggering update's origin timestamp across the back link. Listeners
-// that predate the trailer reject annotated frames as trailing garbage,
-// so only send annotated when the AD side is running ListenADOpts (or a
-// MuxListener) from this version on.
-func (s *TCPSender) SendTrace(a event.Alert, t wire.Trace) error {
-	return s.sendAlert(a, &t)
-}
-
-// sendAlert encodes the alert, and its trailer if any, straight into the
-// sender's frame buffer and writes the frame.
-func (s *TCPSender) sendAlert(a event.Alert, t *wire.Trace) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	frame, err := appendAlertItem(s.buf[:0], a)
-	if err != nil {
-		return err
-	}
-	if t != nil {
-		frame = wire.AppendTrace(frame, *t)
-		patchFrameLen(frame, 0)
-	}
-	return s.writeLocked(frame, "alert")
-}
-
-// sendFrame writes an already encoded body as one length-prefixed frame.
-func (s *TCPSender) sendFrame(body []byte, what string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	frame := append(append(s.buf[:0], 0, 0, 0, 0), body...)
-	patchFrameLen(frame, 0)
-	return s.writeLocked(frame, what)
-}
-
-// writeLocked checks and writes one assembled frame — prefix and body in a
-// single Write — and keeps its buffer for the next. The caller holds s.mu.
-func (s *TCPSender) writeLocked(frame []byte, what string) error {
-	s.buf = keepBuffer(frame, keepFrameBytes)
-	if n := len(frame) - lenPrefix; n > maxFrame {
-		return fmt.Errorf("transport: %s frame of %d bytes exceeds limit", what, n)
-	}
-	if s.closed {
-		return fmt.Errorf("transport: Send: %w", runtime.ErrClosed)
-	}
-	if _, err := s.conn.Write(frame); err != nil {
-		return fmt.Errorf("transport: send %s: %w", what, err)
-	}
-	return nil
-}
-
-// Close closes the connection; it is idempotent, and later Sends report
-// the runtime.ErrClosed sentinel.
-func (s *TCPSender) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.conn.Close()
-}
-
-// ADListener is the AD side of the back links: it accepts any number of CE
-// connections and merges their alert streams into one channel — the
-// nondeterministic arrival interleaving M of the analysis model.
-type ADListener struct {
-	ln      net.Listener
-	out     chan event.Alert
-	digests chan wire.Digest
-	evs     chan wire.Evidence
-	wg      sync.WaitGroup
-	done    chan struct{}
-
-	// Optional instrumentation; nil tracer and link health no-op.
-	tr      *obs.Tracer
-	lh      *obs.LinkHealth
-	observe func(event.Alert, int64)
-}
-
-// ADListenerOptions configure the AD side of the back links.
-type ADListenerOptions struct {
-	// Trace, if non-nil, records a StageBacklink/arrived span for every
-	// alert frame that arrives (one per history variable, labelled with the
-	// alert's source replica), carrying the origin timestamp from annotated
-	// frames.
-	Trace *obs.Tracer
-	// Health, if non-nil, registers the merged back link under "backlink"
-	// and touches it on every arriving frame; /healthz reports it stale
-	// after StaleAfter without traffic (obs.DefaultStaleAfter when ≤ 0).
-	Health     *obs.Health
-	StaleAfter time.Duration
-	// Observe, if non-nil, is invoked inline from the connection handler
-	// for every decoded alert with the origin timestamp carried by its
-	// trace trailer (0 when the frame was unannotated), before the alert
-	// is enqueued. It is how the AD-side auditor learns each alert's
-	// end-to-end latency anchor; it must not block.
-	Observe func(a event.Alert, originNanos int64)
-}
-
-// ListenAD starts an AD endpoint on addr.
-func ListenAD(addr string) (*ADListener, error) {
-	return ListenADOpts(addr, ADListenerOptions{})
-}
-
-// ListenADOpts starts an AD endpoint on addr with tracing and health
-// wiring. The zero options value behaves exactly like ListenAD.
-func ListenADOpts(addr string, opts ADListenerOptions) (*ADListener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen AD %q: %w", addr, err)
-	}
-	l := &ADListener{
-		ln:      ln,
-		out:     make(chan event.Alert, updateBuffer),
-		digests: make(chan wire.Digest, updateBuffer),
-		evs:     make(chan wire.Evidence, evidenceBuffer),
-		done:    make(chan struct{}),
-		tr:      opts.Trace,
-		observe: opts.Observe,
-	}
-	if opts.Health != nil {
-		l.lh = opts.Health.Link("backlink", opts.StaleAfter)
-	}
-	l.wg.Add(1)
-	go l.acceptLoop()
-	return l, nil
-}
-
 // arrivalSpans records one StageBacklink/arrived span per history variable
-// of an alert that crossed a back link — shared by the dedicated and mux
-// listeners. No-op with tracing off.
+// of an alert that crossed the back link. No-op with tracing off.
 func arrivalSpans(tr *obs.Tracer, a event.Alert, origin int64) {
 	if tr == nil {
 		return
@@ -1443,105 +1282,5 @@ func arrivalSpans(tr *obs.Tracer, a event.Alert, origin int64) {
 			Stage: obs.StageBacklink, Replica: a.Source, Disp: obs.DispArrived,
 			Origin: origin,
 		})
-	}
-}
-
-// Addr returns the bound address.
-func (l *ADListener) Addr() string { return l.ln.Addr().String() }
-
-// Alerts returns the merged alert stream. It closes after Close once all
-// connection handlers exit.
-func (l *ADListener) Alerts() <-chan event.Alert { return l.out }
-
-// Close shuts the listener and all connections down and closes Alerts.
-func (l *ADListener) Close() {
-	close(l.done)
-	_ = l.ln.Close()
-	l.wg.Wait()
-	close(l.out)
-	close(l.digests)
-	close(l.evs)
-}
-
-func (l *ADListener) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		l.wg.Add(1)
-		go l.handle(conn)
-	}
-}
-
-func (l *ADListener) handle(conn net.Conn) {
-	defer l.wg.Done()
-	defer func() { _ = conn.Close() }()
-	defer closeOnDone(conn, l.done)()
-	// The frame buffer and the name cache are reused for every frame of the
-	// connection; nothing decoded aliases them.
-	var (
-		body  []byte
-		names wire.Names
-	)
-	for {
-		var err error
-		if body, err = readFrame(conn, body); err != nil {
-			return // closed, or a corrupt stream: a real TCP link would reset here
-		}
-		// Frames are self-describing: dispatch on the wire tag byte. Either
-		// frame kind may carry an optional trace trailer after its body.
-		switch body[0] {
-		case 'A':
-			a, rest, err := wire.DecodeAlertInto(body, &names)
-			if err != nil {
-				return
-			}
-			t, _, rest, terr := wire.TakeTrace(rest)
-			if terr != nil || len(rest) != 0 {
-				return
-			}
-			l.lh.Touch()
-			arrivalSpans(l.tr, a, t.Origin)
-			if l.observe != nil {
-				l.observe(a, t.Origin)
-			}
-			select {
-			case l.out <- a:
-			case <-l.done:
-				return
-			}
-		case 'D':
-			d, rest, err := wire.DecodeDigest(body)
-			if err != nil {
-				return
-			}
-			if _, _, rest, terr := wire.TakeTrace(rest); terr != nil || len(rest) != 0 {
-				return
-			}
-			l.lh.Touch()
-			select {
-			case l.digests <- d:
-			case <-l.done:
-				return
-			}
-		case 'G':
-			// A forwarded DM evidence frame, relayed by a CE running with
-			// -audit: the AD-side auditor cross-checks displayed values
-			// against these digests.
-			ev, rest, err := wire.DecodeEvidence(body)
-			if err != nil || len(rest) != 0 {
-				return
-			}
-			l.lh.Touch()
-			select {
-			case l.evs <- ev:
-			case <-l.done:
-				return
-			}
-		default:
-			return // unknown frame type: treat as a corrupt stream
-		}
 	}
 }

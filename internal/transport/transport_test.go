@@ -119,28 +119,28 @@ func TestUDPForcedLoss(t *testing.T) {
 }
 
 func TestTCPBackLinkRoundTrip(t *testing.T) {
-	adl, err := ListenAD("127.0.0.1:0")
+	adl, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
 
-	snd, err := DialAD(adl.Addr())
+	snd, err := DialMux(adl.Addr(), MuxSenderOptions{})
 	if err != nil {
-		t.Fatalf("DialAD: %v", err)
+		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = snd.Close() }()
 
 	a := event.Alert{Cond: "c1", Source: "CE1", Histories: event.HistorySet{
 		"x": {Var: "x", Recent: []event.Update{event.U("x", 3, 3200)}},
 	}}
-	if err := snd.Send(a); err != nil {
+	if err := snd.Send(1, a); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	select {
-	case got := <-adl.Alerts():
-		if got.Key() != a.Key() || got.Source != "CE1" {
-			t.Errorf("received %v, want %v", got, a)
+	case sa := <-adl.Alerts():
+		if got := sa.Alert; got.Key() != a.Key() || got.Source != "CE1" || sa.Stream != 1 || sa.Origin != 0 {
+			t.Errorf("received %+v, want %v on stream 1", sa, a)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("alert did not arrive")
@@ -157,10 +157,10 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := ListenUDP("bad:::addr", UDPReceiverOptions{}); err == nil {
 		t.Error("bad listen address should fail")
 	}
-	if _, err := DialAD("127.0.0.1:1"); err == nil {
+	if _, err := DialMux("127.0.0.1:1", MuxSenderOptions{}); err == nil {
 		t.Error("dialing a closed port should fail")
 	}
-	if _, err := ListenAD("bad:::addr"); err == nil {
+	if _, err := ListenMux("bad:::addr", MuxListenerOptions{}); err == nil {
 		t.Error("bad AD address should fail")
 	}
 }
@@ -170,9 +170,9 @@ func TestEndToEndNetworkedReplicatedSystem(t *testing.T) {
 	// over UDP to two CE processes, each evaluating c1 and forwarding
 	// alerts over TCP to one AD running AD-1. CE2's front link
 	// deterministically loses update 2 (Example 1's loss pattern).
-	adl, err := ListenAD("127.0.0.1:0")
+	adl, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
-		t.Fatalf("ListenAD: %v", err)
+		t.Fatalf("ListenMux: %v", err)
 	}
 	defer adl.Close()
 
@@ -190,10 +190,10 @@ func TestEndToEndNetworkedReplicatedSystem(t *testing.T) {
 	defer recv2.Close()
 
 	// CE processes: consume updates, evaluate, send alerts.
-	startCE := func(id string, recv *UDPReceiver) {
-		snd, err := DialAD(adl.Addr())
+	startCE := func(id string, stream uint32, recv *UDPReceiver) {
+		snd, err := DialMux(adl.Addr(), MuxSenderOptions{})
 		if err != nil {
-			t.Errorf("DialAD(%s): %v", id, err)
+			t.Errorf("DialMux(%s): %v", id, err)
 			return
 		}
 		eval, err := ce.New(id, cond.NewOverheat("x"))
@@ -210,15 +210,15 @@ func TestEndToEndNetworkedReplicatedSystem(t *testing.T) {
 					return
 				}
 				if fired {
-					if err := snd.Send(a); err != nil {
+					if err := snd.Send(stream, a); err != nil {
 						return
 					}
 				}
 			}
 		}()
 	}
-	startCE("CE1", recv1)
-	startCE("CE2", recv2)
+	startCE("CE1", 1, recv1)
+	startCE("CE2", 2, recv2)
 
 	pub, err := NewUDPPublisher(recv1.Addr(), recv2.Addr())
 	if err != nil {
@@ -243,10 +243,10 @@ func TestEndToEndNetworkedReplicatedSystem(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	for received := 0; received < 3; {
 		select {
-		case a := <-adl.Alerts():
+		case sa := <-adl.Alerts():
 			received++
-			if ad.Offer(filter, a) {
-				displayed = append(displayed, a)
+			if ad.Offer(filter, sa.Alert) {
+				displayed = append(displayed, sa.Alert)
 			}
 		case <-deadline:
 			t.Fatalf("timed out after %d alerts", received)

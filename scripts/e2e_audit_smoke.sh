@@ -26,10 +26,10 @@ fail() { echo "FAIL: $1"; echo "--- ad.log:"; cat "$workdir/ad.log"; echo "--- a
 echo $! > "$workdir/ad.pid"
 sleep 0.3
 "$workdir/condmon-ce" -id CE1 -listen "$CE1_LISTEN" -ad "$AD_LISTEN" \
-    -cond 'x[0] > 3000' -audit > "$workdir/ce1.log" 2>&1 &
+    -cond 'x[0] > 3000' -audit -stream 1 > "$workdir/ce1.log" 2>&1 &
 echo $! > "$workdir/ce1.pid"
 "$workdir/condmon-ce" -id CE2 -listen "$CE2_LISTEN" -ad "$AD_LISTEN" \
-    -cond 'x[0] > 3000' -drop 0.4 -seed 7 -audit > "$workdir/ce2.log" 2>&1 &
+    -cond 'x[0] > 3000' -drop 0.4 -seed 7 -audit -stream 2 > "$workdir/ce2.log" 2>&1 &
 echo $! > "$workdir/ce2.pid"
 sleep 0.3
 "$workdir/condmon-dm" -var x -ce "$CE1_LISTEN,$CE2_LISTEN" -source reactor \
@@ -54,6 +54,9 @@ kill -INT "$(cat "$workdir/ad.pid")"
 sleep 0.5
 grep -q 'audit: ordered=CONFIRMED' "$workdir/ad.log" || fail "no finalized matrix in the AD exit summary"
 grep -q 'violations=0'             "$workdir/ad.log" || fail "clean run finalized with violations"
+# Evidence and alerts shared each CE's one connection; the alerts kept
+# their replica's stream tag.
+grep -q 'from CE2 \[stream 2\]'     "$workdir/ad.log" || fail "CE2's alerts lost their stream tag"
 kill "$(cat "$workdir/ce1.pid")" "$(cat "$workdir/ce2.pid")" 2>/dev/null || true
 
 # --- Phase 2: negative control; broken dedup must flip Complete. --------
