@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,13 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, stdout io.Writer) error {
+	// The display gathers in one buffer, written whenever the offer loop
+	// finds no alert waiting and on every return: one write(2) per burst of
+	// lines, not one per line. Write errors are dropped, as Fprintf's were.
+	out := bufio.NewWriterSize(stdout, 64<<10)
+	defer func() { _ = out.Flush() }()
+
 	fs := flag.NewFlagSet("condmon-ad", flag.ContinueOnError)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:0", "TCP endpoint for back links")
@@ -243,22 +250,31 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
+	defer finish()
 	for {
+		var (
+			sa transport.StreamAlert
+			ok bool
+		)
 		select {
 		case <-interrupt:
-			finish()
 			return nil
-		case sa, ok := <-l.Alerts():
-			if !ok {
-				finish()
+		case sa, ok = <-l.Alerts():
+		default:
+			_ = out.Flush()
+			select {
+			case <-interrupt:
 				return nil
+			case sa, ok = <-l.Alerts():
 			}
-			received++
-			process(sa)
-			if *n > 0 && received >= *n {
-				finish()
-				return nil
-			}
+		}
+		if !ok {
+			return nil
+		}
+		received++
+		process(sa)
+		if *n > 0 && received >= *n {
+			return nil
 		}
 	}
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +45,13 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, stdout io.Writer) error {
+	// Output gathers in one buffer, written whenever the feed loop finds no
+	// update waiting and on every return: one write(2) per burst of alert
+	// lines, not one per line. Write errors are dropped, as Fprintf's were.
+	out := bufio.NewWriterSize(stdout, 64<<10)
+	defer func() { _ = out.Flush() }()
+
 	fs := flag.NewFlagSet("condmon-ce", flag.ContinueOnError)
 	var (
 		id       = fs.String("id", "CE1", "replica identity carried in alerts")
@@ -193,31 +200,41 @@ func run(args []string, out io.Writer) error {
 
 	received := 0
 	for {
+		var (
+			u  event.Update
+			ok bool
+		)
 		select {
 		case <-interrupt:
 			return nil
-		case u, ok := <-recv.Updates():
-			if !ok {
+		case u, ok = <-recv.Updates():
+		default:
+			_ = out.Flush()
+			select {
+			case <-interrupt:
 				return nil
+			case u, ok = <-recv.Updates():
 			}
-			received++
-			a, fired, err := eval.Feed(u)
-			if err != nil {
-				// Includes a failed journal append or checkpoint (counted
-				// in durable.wal.errors): an evaluator must not run ahead
-				// of its log, so the failure is reported here and ends
-				// the process.
-				return err
+		}
+		if !ok {
+			return nil
+		}
+		received++
+		a, fired, err := eval.Feed(u)
+		if err != nil {
+			// Includes a failed journal append or checkpoint (counted in
+			// durable.wal.errors): an evaluator must not run ahead of its
+			// log, so the failure is reported here and ends the process.
+			return err
+		}
+		if fired {
+			if err := send(a); err != nil {
+				return fmt.Errorf("back link: %w", err)
 			}
-			if fired {
-				if err := send(a); err != nil {
-					return fmt.Errorf("back link: %w", err)
-				}
-				fmt.Fprintf(out, "%s alert %v\n", *id, a)
-			}
-			if *n > 0 && received >= *n {
-				return nil
-			}
+			fmt.Fprintf(out, "%s alert %v\n", *id, a)
+		}
+		if *n > 0 && received >= *n {
+			return nil
 		}
 	}
 }

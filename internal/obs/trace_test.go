@@ -145,7 +145,9 @@ func TestTracerConcurrentRecordSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				seq := int64(w*perW + i)
+				// From 1: Record stamps the wall clock over a zero Time, and
+				// that span would read as torn.
+				seq := int64(w*perW + i + 1)
 				tr.Record(Span{Var: "x", Seq: seq, Stage: StageFeed, Disp: DispFed, Time: seq})
 			}
 		}(w)

@@ -2,8 +2,9 @@ package transport
 
 // This file is the back link (paper §2.1: lossless, in-order, CE → AD).
 // Every CE replica of a process shares one TCP connection to the AD. The
-// MuxSender tags each alert with a 32-bit stream id, coalesces small
-// writes into 'M' frames (flushed by size or deadline), and preserves
+// MuxSender tags each alert with a 32-bit stream id, frames alerts of one
+// stream into 'M' frames — written at once while the link is quiet,
+// coalesced and flushed by size or deadline once it is busy — and preserves
 // per-stream order; digests ('D') and forwarded DM evidence ('G') travel
 // as standalone frames on the same connection, in send order with the
 // alerts. The MuxListener demultiplexes the frames back into (stream,
@@ -12,6 +13,7 @@ package transport
 // including senders that write one plain 'A' frame per alert (stream 0).
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -24,13 +26,19 @@ import (
 	"condmon/internal/wire"
 )
 
-// Default MuxSender coalescing knobs: a buffer flushes as soon as it holds
-// defaultFlushBytes of frame payload, or defaultFlushEvery after the first
-// unflushed Send, whichever comes first.
+// Default MuxSender coalescing knobs: a busy link's buffer flushes as soon
+// as it holds defaultFlushBytes of frame payload, or defaultFlushEvery after
+// the first unflushed Send, whichever comes first.
 const (
 	defaultFlushBytes = 32 * 1024
 	defaultFlushEvery = 2 * time.Millisecond
 )
+
+// quietSends is how many items one FlushEvery window may carry while the
+// sender still writes each of them as it is sent. One more and the link
+// counts as busy: coalescing starts, and lasts until a deadline flush
+// carries no more than this — until waiting bought nothing.
+const quietSends = 4
 
 // MuxSenderOptions configure the coalescing buffer of a MuxSender.
 type MuxSenderOptions struct {
@@ -38,12 +46,15 @@ type MuxSenderOptions struct {
 	// flush (default 32 KiB). Larger values coalesce more alerts per
 	// syscall at the cost of latency.
 	FlushBytes int
-	// FlushEvery bounds how long a buffered alert may wait before the
-	// deadline flush pushes it out (default 2ms).
+	// FlushEvery bounds how long a buffered alert may wait on a busy link
+	// before the deadline flush pushes it out (default 2ms). It is also the
+	// window over which the sender measures its own send rate to tell a
+	// quiet link, which buffers nothing, from a busy one.
 	FlushEvery time.Duration
 	// Metrics, if non-nil, registers sender counters under MetricsPrefix
 	// (default "transport.mux"): <prefix>.alerts, <prefix>.frames, and
-	// <prefix>.flushes — alerts ≫ frames ≫ flushes is coalescing working.
+	// <prefix>.flushes — alerts = frames = flushes is a quiet link, alerts
+	// ≫ frames ≫ flushes is coalescing working on a busy one.
 	Metrics       *obs.Registry
 	MetricsPrefix string
 }
@@ -72,10 +83,15 @@ type muxStream struct {
 }
 
 // MuxSender is the CE side of the back link. Any number of streams (CE
-// replicas, shards) send through one TCP connection; alerts of one stream
-// are delivered in Send order, and small Sends are coalesced into 'M'
-// frames flushed by size or deadline. All methods are safe for concurrent
-// use — replicas of one process share the sender directly.
+// replicas, shards) send through one TCP connection, and alerts of one
+// stream are delivered in Send order. The sender follows its own load: it
+// is quiet until more than quietSends items are sent inside one FlushEvery
+// window, and while quiet every send is written before it returns; past
+// that it coalesces — small Sends gather into 'M' frames flushed by size or
+// deadline — until a deadline flush finds no more than quietSends items
+// waiting. The frames are the same in both states; only when they are
+// written differs. All methods are safe for concurrent use — replicas of
+// one process share the sender directly.
 type MuxSender struct {
 	opts MuxSenderOptions
 	conn net.Conn
@@ -84,11 +100,16 @@ type MuxSender struct {
 	streams map[uint32]*muxStream
 	order   []*muxStream // streams with pending items, first-Send order
 	pending int          // buffered bytes: pending items plus closed frames
+	items   int          // sends buffered since the last flush
 	out     []byte       // closed frames awaiting the next flush, reused
 	timer   *time.Timer  // deadline flush, created on first use and re-armed
 	armed   bool         // the timer is counting down to a flush
 	closed  bool
 	err     error // sticky write error: the connection is dead
+
+	coalescing  bool      // the link is busy: sends wait for size or deadline
+	windowStart time.Time // quiet state: when the current rate window opened
+	windowSends int       // quiet state: sends inside that window
 
 	cAlerts, cFrames, cFlushes *obs.Counter
 }
@@ -113,14 +134,15 @@ func DialMux(addr string, opts MuxSenderOptions) (*MuxSender, error) {
 	return s, nil
 }
 
-// Send enqueues one alert on the given stream. The alert leaves in the next
-// flush — triggered by the size threshold, the deadline, an explicit Flush,
-// or Close — and arrives after every alert previously sent on the same
-// stream. After Close, Send returns the wrapped runtime.ErrClosed sentinel,
+// Send sends one alert on the given stream. On a quiet link it is written
+// before Send returns; on a busy one it leaves in the next flush — triggered
+// by the size threshold, the deadline, an explicit Flush, or Close. Either
+// way it arrives after every alert previously sent on the same stream.
+// After Close, Send returns the wrapped runtime.ErrClosed sentinel,
 // matching the front links' Emit-after-Close contract. An alert that cannot
 // be encoded or exceeds the frame limit is refused with the stream's pending
-// run untouched. In the steady state — stream known, buffer grown — Send
-// allocates nothing.
+// run untouched. In the steady state — stream known, buffers grown — Send
+// allocates nothing, quiet or busy.
 func (s *MuxSender) Send(stream uint32, a event.Alert) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,7 +180,7 @@ func (s *MuxSender) Send(stream uint32, a event.Alert) error {
 // sampled flag and the triggering update's origin timestamp. A trailer
 // annotates a whole frame, so the alert closes into a single-item 'M' frame
 // of its own, behind every frame already pending, and leaves in the same
-// flush as its untraced neighbours.
+// write as its untraced neighbours.
 func (s *MuxSender) SendTrace(stream uint32, a event.Alert, t wire.Trace) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,7 +251,7 @@ func (s *MuxSender) openFrameLocked() ([]byte, error) {
 }
 
 // closeFrameLocked patches the length of the frame openFrameLocked began,
-// keeps it for the next flush, and schedules that flush.
+// keeps it for the next flush, and has queuedLocked write or schedule it.
 func (s *MuxSender) closeFrameLocked(out []byte, what string) error {
 	at := len(s.out)
 	if n := len(out) - at - lenPrefix; n > maxFrame {
@@ -241,10 +263,24 @@ func (s *MuxSender) closeFrameLocked(out []byte, what string) error {
 	return s.queuedLocked(len(out) - at)
 }
 
-// queuedLocked accounts n newly buffered bytes and flushes them now, if the
-// buffer is full, or no later than the deadline.
+// queuedLocked accounts one newly buffered item of n bytes. A quiet link
+// writes it now; the item that makes the window's count exceed quietSends
+// turns the link busy and, like every item after it, is flushed when the
+// buffer is full or no later than the deadline. Only the quiet state reads
+// the clock.
 func (s *MuxSender) queuedLocked(n int) error {
 	s.pending += n
+	s.items++
+	if !s.coalescing {
+		now := time.Now()
+		if now.Sub(s.windowStart) >= s.opts.FlushEvery {
+			s.windowStart, s.windowSends = now, 0
+		}
+		if s.windowSends++; s.windowSends <= quietSends {
+			return s.flushLocked()
+		}
+		s.coalescing = true
+	}
 	if s.pending >= s.opts.FlushBytes {
 		return s.flushLocked()
 	}
@@ -259,12 +295,18 @@ func (s *MuxSender) queuedLocked(n int) error {
 	return nil
 }
 
-// deadlineFlush is the timer callback: push whatever is buffered.
+// deadlineFlush is the timer callback: push whatever is buffered. A deadline
+// that gathered no more than quietSends items bought nothing for the wait it
+// cost, so the link is quiet again. A callback that lost the race with a
+// size-triggered flush finds the timer disarmed and says nothing about load.
 func (s *MuxSender) deadlineFlush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || !s.armed {
 		return
+	}
+	if s.items <= quietSends {
+		s.coalescing, s.windowSends = false, 0
 	}
 	_ = s.flushLocked() // the error is sticky; the next Send reports it
 }
@@ -329,7 +371,7 @@ func (s *MuxSender) flushLocked() error {
 	if len(out) == 0 {
 		return nil
 	}
-	s.pending = 0
+	s.pending, s.items = 0, 0
 	s.out = keepBuffer(out, 4*s.opts.FlushBytes)
 	s.cFlushes.Inc()
 	if _, err := s.conn.Write(out); err != nil {
@@ -472,6 +514,12 @@ func (l *MuxListener) acceptLoop() {
 	}
 }
 
+// muxReadBuffer sizes a connection's read buffer: one read(2) takes in
+// everything that arrived since the last wake-up — a quiet sender's
+// single-alert frames as well as a busy one's 32 KiB flushes — and a frame
+// larger than the buffer is read straight into its own.
+const muxReadBuffer = 64 * 1024
+
 // handle reads one connection's frames until it closes or turns corrupt.
 // A frame that does not decode to exactly its length — bad tag, bad body,
 // trailing bytes — ends the connection, as a TCP reset would; only a corrupt
@@ -480,17 +528,19 @@ func (l *MuxListener) handle(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() { _ = conn.Close() }()
 	defer closeOnDone(conn, l.done)()
-	// Per-connection decode memory: the frame buffer, the alert scratch and
-	// the name cache are reused for every frame. Decoded alerts alias none
-	// of them, so they outlive the next read.
+	// Per-connection decode memory: the read buffer, the frame buffer, the
+	// alert scratch and the name cache are reused for every frame, so a
+	// frame costs no allocation of its own. Decoded alerts alias none of
+	// them, so they outlive the next read.
 	var (
+		r       = bufio.NewReaderSize(conn, muxReadBuffer)
 		body    []byte
 		scratch []event.Alert
 		names   wire.Names
 	)
 	for {
 		var err error
-		if body, err = readFrame(conn, body); err != nil {
+		if body, err = readFrame(r, body); err != nil {
 			return
 		}
 		l.cFrames.Inc()

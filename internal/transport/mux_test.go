@@ -79,7 +79,7 @@ func TestMuxPerStreamOrdering(t *testing.T) {
 }
 
 // TestMuxDeadlineFlush verifies the coalescing buffer's deadline: a single
-// buffered alert must arrive without any explicit Flush.
+// alert buffered on a busy link must arrive without any explicit Flush.
 func TestMuxDeadlineFlush(t *testing.T) {
 	l, err := ListenMux("127.0.0.1:0", MuxListenerOptions{})
 	if err != nil {
@@ -91,6 +91,7 @@ func TestMuxDeadlineFlush(t *testing.T) {
 		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = s.Close() }()
+	s.coalescing = true // a quiet link would not wait for the timer
 	if err := s.Send(9, testAlert("c", "CE1", 1)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -260,6 +261,7 @@ func TestMuxMetrics(t *testing.T) {
 		t.Fatalf("DialMux: %v", err)
 	}
 	defer func() { _ = s.Close() }()
+	s.coalescing = true // as on a busy link: nothing leaves before the Flush
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := s.Send(uint32(i%2), testAlert("c", "CE", int64(i+1))); err != nil {

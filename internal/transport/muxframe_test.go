@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,11 +38,13 @@ func (c *recordConn) Write(b []byte) (int, error) {
 func (c *recordConn) Close() error { return nil }
 
 // newRecordedSender builds a MuxSender over a recordConn, as DialMux would
-// over a socket.
+// over a socket, except that it starts out coalescing — as on a link already
+// busy — so that a test decides when frames leave. Tests of the quiet state
+// clear the field.
 func newRecordedSender(opts MuxSenderOptions, keep bool) (*MuxSender, *recordConn) {
 	opts.applyDefaults()
 	conn := &recordConn{keep: keep}
-	return &MuxSender{opts: opts, conn: conn, streams: make(map[uint32]*muxStream)}, conn
+	return &MuxSender{opts: opts, conn: conn, streams: make(map[uint32]*muxStream), coalescing: true}, conn
 }
 
 // refMuxSender is the sender's buffering and framing as it stood before the
@@ -128,6 +134,8 @@ func wideAlert(cond string, seqNo int64, degree int) event.Alert {
 // TestMuxSenderGoldenBytes holds every Write of the sender to the bytes its
 // predecessor wrote for the same Send sequence: runs split at maxFrame and
 // at the 65 535-item count, interleaved streams, and size-triggered flushes.
+// A quiet sender writes what the predecessor would have, flushed after
+// every Send.
 func TestMuxSenderGoldenBytes(t *testing.T) {
 	type send struct {
 		stream uint32
@@ -272,22 +280,28 @@ func TestMuxSendRefusalLeavesRunIntact(t *testing.T) {
 }
 
 // TestMuxSendSteadyStateAllocs: once a stream's buffer and the output buffer
-// have grown, Send — encode in place, an occasional size-triggered flush and
-// its Write, re-arming the one timer — allocates nothing.
+// have grown, Send allocates nothing in either state — coalescing: encode in
+// place, an occasional size-triggered flush and its Write, re-arming the one
+// timer; quiet: a clock read, then the frame and its Write every time.
 func TestMuxSendSteadyStateAllocs(t *testing.T) {
-	s, _ := newRecordedSender(MuxSenderOptions{FlushEvery: time.Hour}, false)
-	defer func() { _ = s.Close() }()
-	a := wideAlert("c", 1_000_000, 2)
-	send := func() {
-		if err := s.Send(1, a); err != nil {
-			t.Fatal(err)
+	for _, quiet := range []bool{false, true} {
+		s, _ := newRecordedSender(MuxSenderOptions{FlushEvery: time.Hour}, false)
+		a := wideAlert("c", 1_000_000, 2)
+		send := func() {
+			if quiet {
+				s.coalescing, s.windowSends = false, 0
+			}
+			if err := s.Send(1, a); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 2000; i++ { // through several flushes
-		send()
-	}
-	if got := testing.AllocsPerRun(5000, send); got != 0 {
-		t.Errorf("steady-state Send: %v allocs/op, want 0", got)
+		for i := 0; i < 2000; i++ { // through several flushes
+			send()
+		}
+		if got := testing.AllocsPerRun(5000, send); got != 0 {
+			t.Errorf("steady-state Send, quiet %v: %v allocs/op, want 0", quiet, got)
+		}
+		_ = s.Close()
 	}
 }
 
@@ -466,5 +480,234 @@ func TestLegacyFramesInterop(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("evidence never arrived")
+	}
+}
+
+// framesOf splits recorded writes into frame bodies, and decodes every 'M'
+// frame among them into (stream, seqno of x) pairs in wire order.
+func framesOf(t *testing.T, writes [][]byte) (perWrite []int, arrivals [][2]int64) {
+	t.Helper()
+	for _, w := range writes {
+		n := 0
+		for ; len(w) > 0; n++ {
+			size := int(binary.BigEndian.Uint32(w))
+			body := w[lenPrefix : lenPrefix+size]
+			w = w[lenPrefix+size:]
+			if body[0] != 'M' {
+				continue
+			}
+			m, itemErrs, _, err := wire.DecodeMux(body)
+			if err != nil || len(itemErrs) != 0 {
+				t.Fatalf("recorded 'M' frame does not decode: %v, %d item errors", err, len(itemErrs))
+			}
+			for _, a := range m.Alerts {
+				arrivals = append(arrivals, [2]int64{int64(m.Stream), a.MustSeqNo("x")})
+			}
+		}
+		perWrite = append(perWrite, n)
+	}
+	return perWrite, arrivals
+}
+
+// TestMuxQuietLinkFlushesInline pins the sender's two states on a recorded
+// connection: a quiet link writes every item before the send returns and
+// arms no timer; the item that exceeds quietSends inside one window starts
+// coalescing; a deadline flush that carried no more than quietSends items
+// ends it, a fuller one does not; and streams keep their order through all
+// of it.
+func TestMuxQuietLinkFlushesInline(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	quietSender := func(every time.Duration) (*MuxSender, *recordConn) {
+		s, conn := newRecordedSender(MuxSenderOptions{FlushEvery: every}, true)
+		s.coalescing = false
+		return s, conn
+	}
+
+	// Spaced sends of every kind: one Write each, at once, no timer.
+	s, conn := quietSender(time.Millisecond)
+	for i := 0; i < 3*quietSends; i++ {
+		a := testAlert("c", "CE1", int64(i+1))
+		switch i % 4 {
+		case 0:
+			must(s.Send(1, a))
+		case 1:
+			must(s.SendTrace(1, a, wire.Trace{Flags: wire.TraceFlagSampled, Origin: 1000 + int64(i)}))
+		case 2:
+			must(s.SendDigest(wire.DigestOf(a)))
+		case 3:
+			must(s.SendEvidence(wire.Evidence{Var: "x", UpTo: int64(i), PrefixHash: wire.EvidenceHashSeed}))
+		}
+		if len(conn.writes) != i+1 || s.timer != nil || s.coalescing {
+			t.Fatalf("spaced send %d: %d writes, timer %v, coalescing %v; want one write per send, no timer, quiet",
+				i, len(conn.writes), s.timer != nil, s.coalescing)
+		}
+		time.Sleep(3 * time.Millisecond / 2) // past the window: the next send opens a new one
+	}
+	if perWrite, _ := framesOf(t, conn.writes); len(perWrite) != 3*quietSends || slices.Max(perWrite) != 1 {
+		t.Errorf("spaced sends: frames per write %v, want one each", perWrite)
+	}
+
+	// A burst: quietSends single-item writes, then everything else waits for
+	// the deadline and leaves as one frame.
+	s, conn = quietSender(time.Hour)
+	for i := 0; i < 100; i++ {
+		must(s.Send(1, testAlert("c", "CE1", int64(i+1))))
+	}
+	if len(conn.writes) != quietSends || !s.coalescing || !s.armed {
+		t.Fatalf("burst: %d writes, coalescing %v, armed %v; want %d writes and a deadline pending",
+			len(conn.writes), s.coalescing, s.armed, quietSends)
+	}
+	s.deadlineFlush()
+	perWrite, arrivals := framesOf(t, conn.writes)
+	if len(perWrite) != quietSends+1 || slices.Max(perWrite) != 1 || len(arrivals) != 100 {
+		t.Fatalf("burst: frames per write %v carrying %d alerts, want %d single-frame writes carrying 100",
+			perWrite, len(arrivals), quietSends+1)
+	}
+	for i, sa := range arrivals {
+		if sa != [2]int64{1, int64(i + 1)} {
+			t.Fatalf("burst: arrival %d = stream %d seq %d", i, sa[0], sa[1])
+		}
+	}
+	// That flush carried 96 items: the wait paid, the link stays busy. One
+	// that carries quietSends does not, and the next send is inline again.
+	if !s.coalescing {
+		t.Fatal("a deadline flush of 96 items returned the sender to quiet")
+	}
+	for i := 0; i < quietSends; i++ {
+		must(s.Send(1, testAlert("c", "CE1", int64(101+i))))
+	}
+	if len(conn.writes) != quietSends+1 {
+		t.Fatalf("busy link wrote %d times before its deadline", len(conn.writes)-quietSends-1)
+	}
+	s.deadlineFlush()
+	if s.coalescing || len(conn.writes) != quietSends+2 {
+		t.Fatalf("after a deadline flush of %d items: coalescing %v, %d writes", quietSends, s.coalescing, len(conn.writes))
+	}
+	must(s.Send(1, testAlert("c", "CE1", 200)))
+	if len(conn.writes) != quietSends+3 || s.armed {
+		t.Fatalf("send on the quiet-again link: %d writes, armed %v", len(conn.writes), s.armed)
+	}
+	// A deadline callback that lost the race with another flush is no
+	// measurement of load.
+	s.coalescing = true
+	must(s.Send(1, testAlert("c", "CE1", 201)))
+	must(s.Flush())
+	s.deadlineFlush()
+	if !s.coalescing {
+		t.Error("a stale deadline callback returned the sender to quiet")
+	}
+
+	// Two goroutines, one stream each, bursts and pauses against the real
+	// timer: whatever states the sender goes through, each stream arrives
+	// whole and in order.
+	s, conn = quietSender(time.Millisecond)
+	const perStream = 300
+	var wg sync.WaitGroup
+	for stream := uint32(1); stream <= 2; stream++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= perStream; i++ {
+				if err := s.Send(stream, testAlert("c", "CE1", int64(i))); err != nil {
+					t.Errorf("stream %d send %d: %v", stream, i, err)
+					return
+				}
+				if i%(20*int(stream)) == 0 {
+					time.Sleep(3 * time.Millisecond)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	must(s.Close())
+	_, arrivals = framesOf(t, conn.writes)
+	next := map[int64]int64{1: 1, 2: 1}
+	for _, sa := range arrivals {
+		if sa[1] != next[sa[0]] {
+			t.Fatalf("stream %d: seq %d arrived, want %d", sa[0], sa[1], next[sa[0]])
+		}
+		next[sa[0]]++
+	}
+	if next[1] != perStream+1 || next[2] != perStream+1 {
+		t.Errorf("arrived %d and %d alerts, want %d each", next[1]-1, next[2]-1, perStream)
+	}
+}
+
+// chunkConn is a net.Conn whose Read hands out one prepared buffer, as much
+// as the caller has room for, then io.EOF; it counts the calls.
+type chunkConn struct {
+	net.Conn
+	data  []byte
+	reads int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+func (c *chunkConn) Close() error { return nil }
+
+// TestMuxListenerFrameAllocs: a hundred one-alert frames that arrived
+// together cost the handler one read, and each costs exactly what decoding
+// its alert costs — the frame itself is free.
+func TestMuxListenerFrameAllocs(t *testing.T) {
+	var raw []byte // 200 single-alert frames, as a quiet sender writes them
+	var hundred int
+	for i := 0; i < 200; i++ {
+		frame, err := appendAlertItem(wire.AppendMuxHeader(append(raw, 0, 0, 0, 0), 1, 1), testAlert("c", "CE1", int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		patchFrameLen(frame, len(raw))
+		if raw = frame; i == 99 {
+			hundred = len(raw)
+		}
+	}
+
+	l := &MuxListener{out: make(chan StreamAlert, 200), done: make(chan struct{})}
+	handle := func(raw []byte) (reads int) {
+		c := &chunkConn{data: raw}
+		l.wg.Add(1)
+		l.handle(c)
+		for len(l.out) > 0 {
+			<-l.out
+		}
+		return c.reads
+	}
+	if reads := handle(raw[:hundred]); reads > 2 {
+		t.Errorf("100 frames in one buffer took %d reads, want the buffer and the EOF", reads)
+	}
+
+	// The handler's set-up allocations are the same for any number of
+	// frames — give or take one for the goroutine it starts — so the
+	// difference between 200 and 100 is a hundred frames'.
+	perFrame := (testing.AllocsPerRun(20, func() { handle(raw) }) -
+		testing.AllocsPerRun(20, func() { handle(raw[:hundred]) })) / 100
+	var (
+		body    = raw[lenPrefix : hundred/100]
+		scratch []event.Alert
+		names   wire.Names
+	)
+	decode := testing.AllocsPerRun(100, func() {
+		m, _, _, err := wire.DecodeMuxInto(body, scratch, &names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(m.Alerts)
+		scratch = m.Alerts
+	})
+	if math.Abs(perFrame-decode) >= 0.5 {
+		t.Errorf("a frame costs %v allocations, decoding its alert %v: the frame is not free", perFrame, decode)
 	}
 }

@@ -1234,14 +1234,19 @@ func keepBuffer(buf []byte, limit int) []byte {
 }
 
 // readFrame reads one length-prefixed back-link frame into buf, growing it
-// when the frame does not fit, and returns the frame body. An empty or
-// over-limit length is an error: the stream is corrupt.
-func readFrame(conn io.Reader, buf []byte) ([]byte, error) {
-	var hdr [lenPrefix]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+// when the frame does not fit, and returns the frame body. The length
+// prefix is read into buf too — a local array would escape through the
+// io.Reader and cost every frame an allocation. An empty or over-limit
+// length is an error: the stream is corrupt.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < lenPrefix {
+		buf = make([]byte, lenPrefix)
+	}
+	hdr := buf[:lenPrefix]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n == 0 || n > maxFrame {
 		return buf, fmt.Errorf("transport: frame length %d out of range", n)
 	}
@@ -1249,7 +1254,7 @@ func readFrame(conn io.Reader, buf []byte) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	_, err := io.ReadFull(conn, buf)
+	_, err := io.ReadFull(r, buf)
 	return buf, err
 }
 

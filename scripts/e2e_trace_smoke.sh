@@ -63,5 +63,13 @@ curl -sf "http://$AD_OBS/healthz"      | grep -q '"healthy": true' || fail "AD /
 # The Prometheus exposition negotiates via ?format=prom and terminates
 # with the OpenMetrics EOF marker.
 curl -sf "http://$CE1_OBS/metrics?format=prom" | grep -q '^# EOF' || fail "no OpenMetrics exposition"
+# The shipped CE runs the back link's quiet path at this rate (an update
+# every 10 ms): each alert left in a write of its own, so the sender counted
+# exactly as many flushes as alerts. A count, not a timing.
+prom=$(curl -sf "http://$CE1_OBS/metrics?format=prom")
+alerts=$(echo "$prom" | awk '/^transport_mux_alerts\{/ {print $2}')
+flushes=$(echo "$prom" | awk '/^transport_mux_flushes\{/ {print $2}')
+[ "${alerts:-0}" -gt 0 ] && [ "$alerts" = "$flushes" ] ||
+    fail "CE1 back link not on the quiet path: mux.alerts=$alerts mux.flushes=$flushes"
 
 echo "e2e trace smoke OK"
