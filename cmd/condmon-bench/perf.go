@@ -104,12 +104,10 @@ func parseScenarios(spec string) (map[string]bool, error) {
 // throughputResult is one MultiSystemThroughput run: a thousand-condition
 // two-replica deployment driven to completion, per-update or batched.
 type throughputResult struct {
-	Conditions int `json:"conditions"`
-	Replicas   int `json:"replicas"`
-	Workers    int `json:"workers"`
-	Goroutines int `json:"goroutines"`
-	// BatchSize 0 means adaptive: the Pump sized each run from live shard
-	// queue depth instead of a fixed length.
+	Conditions    int     `json:"conditions"`
+	Replicas      int     `json:"replicas"`
+	Workers       int     `json:"workers"`
+	Goroutines    int     `json:"goroutines"`
 	BatchSize     int     `json:"batch_size"`
 	Updates       int     `json:"updates"`
 	Displayed     int     `json:"displayed"`
@@ -164,14 +162,14 @@ func filterStream() ([]event.Alert, error) {
 
 // multiThroughput builds the MultiSystemThroughput scenario — 1000
 // threshold conditions over 8 variables, 2 CE replicas each — and drives
-// total updates through it, singly (batchSize 1), via fixed EmitBatch runs
-// (batchSize > 1), or through the adaptive Pump (batchSize 0). The
-// reported rate includes Close, so every update is fully evaluated and
-// filtered before the clock stops. Goroutines is sampled while the system
-// is live: with the sharded worker pool it stays O(workers) rather than
-// the O(conditions × replicas × variables) of a goroutine-per-link wiring.
-// A non-nil reg attaches the full multi.* / ad.* counter set to the run;
-// the default nil registry measures the uninstrumented configuration.
+// total updates through it, singly (batchSize 1) or via fixed EmitBatch
+// runs (batchSize > 1). The reported rate includes Close, so every update
+// is fully evaluated and filtered before the clock stops. Goroutines is
+// sampled while the system is live: with the sharded worker pool it stays
+// O(workers) rather than the O(conditions × replicas × variables) of a
+// goroutine-per-link wiring. A non-nil reg attaches the full multi.* /
+// ad.* counter set to the run; the default nil registry measures the
+// uninstrumented configuration.
 func multiThroughput(batchSize, conditions, total int, reg *obs.Registry, tr *obs.Tracer) (throughputResult, error) {
 	const nVars = 8
 	vars := make([]event.VarName, nVars)
@@ -203,19 +201,7 @@ func multiThroughput(batchSize, conditions, total int, reg *obs.Registry, tr *ob
 	}
 	perVar := total / nVars
 	start := time.Now()
-	if batchSize == 0 {
-		pump := sys.NewPump(crt.PumpOptions{})
-		for _, v := range vars {
-			for i := 0; i < perVar; i++ {
-				if err := pump.Feed(v, float64(i%1000)); err != nil {
-					return res, err
-				}
-			}
-		}
-		if err := pump.Flush(); err != nil {
-			return res, err
-		}
-	} else if batchSize <= 1 {
+	if batchSize <= 1 {
 		for i := 0; i < perVar; i++ {
 			for _, v := range vars {
 				if _, err := sys.Emit(v, float64(i%1000)); err != nil {
@@ -318,8 +304,7 @@ func runPerf(out io.Writer, metricsAddr string, hold time.Duration, scenarios st
 		}{
 			{"MultiSystemThroughput/per_update", 1, false},
 			{"MultiSystemThroughput/batched", 256, false},
-			{"MultiSystemThroughput/adaptive", 0, false},
-			{"MultiSystemThroughput/adaptive_traced", 0, true},
+			{"MultiSystemThroughput/batched_traced", 256, true},
 		} {
 			var tr *obs.Tracer
 			if m.traced {

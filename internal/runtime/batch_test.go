@@ -3,10 +3,12 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	gort "runtime"
 	"testing"
 
 	"condmon/internal/ad"
+	"condmon/internal/ce"
 	"condmon/internal/cond"
 	"condmon/internal/event"
 	"condmon/internal/link"
@@ -25,75 +27,75 @@ func equivConds() []cond.Condition {
 	}
 }
 
-// runMode selects how updates reach the shards and how alerts travel back.
+// The runMulti deployment: replicas per condition, and the seed of its
+// front links.
+const (
+	equivReplicas = 2
+	equivSeed     = 42
+)
+
+// runMode selects how runMulti hands updates to the shards.
 type runMode struct {
 	// batch is the fixed EmitBatch run length; <=1 means per-update Emit.
 	batch int
-	// inline bypasses the multiplexed back link (the pre-mux baseline).
-	inline bool
-	// pump drives the stream through the adaptive Pump instead of a fixed
-	// batch size; batch is ignored.
-	pump bool
+	// interleaved alternates x and y runs of the batch length (x1 y1 x2 y2 …
+	// per update) instead of emitting every x before any y, so the
+	// two-variable conditions see both windows move.
+	interleaved bool
+}
+
+// reading is one value runMulti published, in publication order.
+type reading struct {
+	v     event.VarName
+	value float64
 }
 
 // runMulti drives one MultiSystem over a fixed deterministic stream in the
-// given mode and returns the per-condition displayed sequences.
-func runMulti(t *testing.T, loss func(string, int, event.VarName) link.Model, mode runMode) map[string][]event.Alert {
+// given mode and returns the per-condition displayed sequences, plus the
+// readings in the order they were emitted.
+func runMulti(t *testing.T, loss func(string, int, event.VarName) link.Model, mode runMode) (map[string][]event.Alert, []reading) {
 	t.Helper()
 	conds := equivConds()
 	sys, err := NewMulti(conds, func(c cond.Condition) ad.Filter {
 		return ad.NewAD1()
-	}, MultiOptions{Replicas: 2, Seed: 42, Loss: loss, InlineFanIn: mode.inline})
+	}, MultiOptions{Replicas: equivReplicas, Seed: equivSeed, Loss: loss})
 	if err != nil {
 		t.Fatalf("NewMulti: %v", err)
 	}
 	const n = 400
-	vals := func(v event.VarName) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			// A deterministic sawtooth with different phase per variable so
-			// every condition fires sometimes but not always.
-			phase := int(hashVar(v) % 37)
-			out[i] = float64(((i + phase) * 13) % 1000)
+	vars := []event.VarName{"x", "y"}
+	values := map[event.VarName][]float64{}
+	for _, v := range vars {
+		values[v] = injectStream(v, n)
+	}
+	run := max(mode.batch, 1)
+	var sent []reading
+	emit := func(v event.VarName, i int) {
+		vals := values[v][i:min(i+run, n)]
+		var err error
+		if mode.batch <= 1 {
+			_, err = sys.Emit(v, vals[0])
+		} else {
+			_, err = sys.EmitBatch(v, vals)
 		}
-		return out
-	}
-	var pump *Pump
-	if mode.pump {
-		// Tight bounds so the controller actually moves during a 400-update
-		// run: grows from 2 when the shards keep up, shrinks at depth > 4.
-		pump = sys.NewPump(PumpOptions{Min: 2, Max: 128, HighWater: 4})
-	}
-	for _, v := range []event.VarName{"x", "y"} {
-		values := vals(v)
-		switch {
-		case mode.pump:
-			for _, val := range values {
-				if err := pump.Feed(v, val); err != nil {
-					t.Fatalf("Feed: %v", err)
-				}
-			}
-		case mode.batch <= 1:
-			for _, val := range values {
-				if _, err := sys.Emit(v, val); err != nil {
-					t.Fatalf("Emit: %v", err)
-				}
-			}
-		default:
-			for i := 0; i < len(values); i += mode.batch {
-				j := i + mode.batch
-				if j > len(values) {
-					j = len(values)
-				}
-				if _, err := sys.EmitBatch(v, values[i:j]); err != nil {
-					t.Fatalf("EmitBatch: %v", err)
-				}
-			}
+		if err != nil {
+			t.Fatalf("emit %s: %v", v, err)
+		}
+		for _, val := range vals {
+			sent = append(sent, reading{v, val})
 		}
 	}
-	if pump != nil {
-		if err := pump.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
+	if mode.interleaved {
+		for i := 0; i < n; i += run {
+			for _, v := range vars {
+				emit(v, i)
+			}
+		}
+	} else {
+		for _, v := range vars {
+			for i := 0; i < n; i += run {
+				emit(v, i)
+			}
 		}
 	}
 	if _, err := sys.Close(); err != nil {
@@ -103,35 +105,117 @@ func runMulti(t *testing.T, loss func(string, int, event.VarName) link.Model, mo
 	for _, c := range conds {
 		out[c.Name()] = sys.Demux().DisplayedFor(c.Name())
 	}
+	return out, sent
+}
+
+// referenceDisplayed is the equivalence oracle: a replay of sent that
+// shares no pipeline code with MultiSystem. Per condition it builds one
+// fresh evaluator per replica behind one link per variable, seeded as
+// NewMulti seeds it (a lossless link draws nothing), feeds every update to
+// the replicas in index order, and passes the alerts through a fresh AD-1.
+func referenceDisplayed(t *testing.T, conds []cond.Condition, loss func(string, int, event.VarName) link.Model, seed int64, sent []reading) map[string][]event.Alert {
+	t.Helper()
+	type refLink struct {
+		model link.Model
+		rng   *rand.Rand
+	}
+	out := make(map[string][]event.Alert, len(conds))
+	for _, c := range conds {
+		evals := make([]*ce.Evaluator, equivReplicas)
+		links := make([]map[event.VarName]refLink, equivReplicas)
+		for i := range evals {
+			ev, err := ce.New(fmt.Sprintf("%s/CE%d", c.Name(), i+1), c)
+			if err != nil {
+				t.Fatalf("ce.New: %v", err)
+			}
+			evals[i] = ev
+			links[i] = make(map[event.VarName]refLink)
+			for _, v := range c.Vars() {
+				var m link.Model = link.None{}
+				if loss != nil {
+					if lm := loss(c.Name(), i, v); lm != nil {
+						m = lm
+					}
+				}
+				links[i][v] = refLink{m, rand.New(rand.NewSource(
+					seed ^ int64(i+1)<<20 ^ hashVar(v) ^ hashVar(event.VarName(c.Name()))))}
+			}
+		}
+		f := ad.NewAD1()
+		var shown []event.Alert
+		seq := map[event.VarName]int64{}
+		for _, r := range sent {
+			seq[r.v]++
+			u := event.U(r.v, seq[r.v], r.value)
+			for i, ev := range evals {
+				l, ok := links[i][u.Var]
+				if !ok {
+					continue
+				}
+				if _, lossless := l.model.(link.None); !lossless && !l.model.Deliver(u, l.rng) {
+					continue
+				}
+				a, fired, err := ev.Feed(u)
+				if err != nil {
+					t.Fatalf("reference %s: %v", ev.ID(), err)
+				}
+				if fired && ad.Offer(f, a) {
+					shown = append(shown, a)
+				}
+			}
+		}
+		out[c.Name()] = shown
+	}
 	return out
+}
+
+// diffDisplayed describes the first difference between want and got per
+// condition — alerts, values or order — or returns "" when they match.
+func diffDisplayed(want, got map[string][]event.Alert) string {
+	for condName, wantAlerts := range want {
+		gotAlerts := got[condName]
+		if len(gotAlerts) != len(wantAlerts) {
+			return fmt.Sprintf("cond=%q: displayed %d alerts, want %d",
+				condName, len(gotAlerts), len(wantAlerts))
+		}
+		for i := range wantAlerts {
+			w, g := wantAlerts[i], gotAlerts[i]
+			if w.Key() != g.Key() || !w.Histories.Equal(g.Histories) {
+				return fmt.Sprintf("cond=%q alert %d: got %v, want %v", condName, i, g, w)
+			}
+		}
+	}
+	return ""
 }
 
 // compareDisplayed asserts got matches want per condition: same alerts, same
 // values, same order.
 func compareDisplayed(t *testing.T, label string, want, got map[string][]event.Alert) {
 	t.Helper()
-	for condName, wantAlerts := range want {
-		gotAlerts := got[condName]
-		if len(gotAlerts) != len(wantAlerts) {
-			t.Fatalf("%s cond=%q: displayed %d alerts, want %d",
-				label, condName, len(gotAlerts), len(wantAlerts))
-		}
-		for i := range wantAlerts {
-			w, g := wantAlerts[i], gotAlerts[i]
-			if w.Key() != g.Key() || !w.Histories.Equal(g.Histories) {
-				t.Fatalf("%s cond=%q alert %d: got %v, want %v",
-					label, condName, i, g, w)
-			}
-		}
+	if d := diffDisplayed(want, got); d != "" {
+		t.Fatalf("%s %s", label, d)
 	}
 }
 
+// checkAgainstReference runs the system in mode and asserts it displays
+// exactly what the reference replay of its emitted readings displays.
+func checkAgainstReference(t *testing.T, loss func(string, int, event.VarName) link.Model, mode runMode) {
+	t.Helper()
+	got, sent := runMulti(t, loss, mode)
+	want := referenceDisplayed(t, equivConds(), loss, equivSeed, sent)
+	order := "sequential"
+	if mode.interleaved {
+		order = "interleaved"
+	}
+	compareDisplayed(t, fmt.Sprintf("%s/batch=%d", order, mode.batch), want, got)
+}
+
 // TestMultiSystemBatchEquivalence is the acceptance gate for the batched
-// pipeline: for every loss schedule, the per-condition displayed alert
-// sequences (values, seqnos, order) must be byte-identical between the
-// per-update path and the batched path, across several batch sizes. The
-// loss models consume per-link randomness one draw per update in both
-// paths, so a fixed seed forces identical loss schedules.
+// pipeline: for every loss schedule, emission order and batch size, the
+// per-condition displayed alert sequences (values, seqnos, order) must be
+// byte-identical to the reference replay of the emitted stream. The loss
+// models consume per-link randomness one draw per update on every path, so
+// a fixed seed forces identical loss schedules.
 func TestMultiSystemBatchEquivalence(t *testing.T) {
 	bern := func(p float64) link.Model {
 		m, err := link.NewBernoulli(p)
@@ -164,29 +248,29 @@ func TestMultiSystemBatchEquivalence(t *testing.T) {
 	}
 	for name, loss := range schedules {
 		t.Run(name, func(t *testing.T) {
-			// The gold standard: per-update emission with the pre-mux
-			// synchronous fan-in.
-			want := runMulti(t, loss, runMode{batch: 1, inline: true})
-			// Multiplexed back link, per-update.
-			compareDisplayed(t, "mux/per-update", want,
-				runMulti(t, loss, runMode{batch: 1}))
-			// Multiplexed back link, fixed batch sizes.
-			for _, batch := range []int{2, 7, 64, 400} {
-				got := runMulti(t, loss, runMode{batch: batch})
-				compareDisplayed(t, fmt.Sprintf("mux/batch=%d", batch), want, got)
+			for _, interleaved := range []bool{false, true} {
+				for _, batch := range []int{1, 2, 7, 64, 400} {
+					checkAgainstReference(t, loss, runMode{batch: batch, interleaved: interleaved})
+				}
 			}
-			// Adaptive pump: run lengths vary with live queue depth, so this
-			// leg also proves equivalence holds for nondeterministic sizing.
-			compareDisplayed(t, "mux/pump", want,
-				runMulti(t, loss, runMode{pump: true}))
+			if name != "bernoulli" {
+				return
+			}
+			// The negative control: links drawing from another seed must
+			// display something else, or the comparisons above would pass
+			// whatever the loss schedule was.
+			got, sent := runMulti(t, loss, runMode{batch: 1})
+			if diffDisplayed(referenceDisplayed(t, equivConds(), loss, equivSeed+1, sent), got) == "" {
+				t.Fatal("reference seeded with seed+1 matches the system; the oracle cannot see loss")
+			}
 		})
 	}
 }
 
 // TestMultiSystemMuxEquivalence is the focused race-checked CI gate for the
-// multiplexed back link: under a lossy schedule, the coalesced mux fan-in
-// must display exactly what the inline synchronous path displays, per
-// condition and in order.
+// multiplexed back link: under a lossy schedule, the coalesced fan-in must
+// display exactly what the reference replay displays, per condition and in
+// order, for both emission orders.
 func TestMultiSystemMuxEquivalence(t *testing.T) {
 	loss := func(condName string, replica int, v event.VarName) link.Model {
 		m, err := link.NewBernoulli(0.25)
@@ -195,10 +279,10 @@ func TestMultiSystemMuxEquivalence(t *testing.T) {
 		}
 		return m
 	}
-	want := runMulti(t, loss, runMode{batch: 1, inline: true})
-	compareDisplayed(t, "mux/per-update", want, runMulti(t, loss, runMode{batch: 1}))
-	compareDisplayed(t, "mux/batch=64", want, runMulti(t, loss, runMode{batch: 64}))
-	compareDisplayed(t, "mux/pump", want, runMulti(t, loss, runMode{pump: true}))
+	for _, interleaved := range []bool{false, true} {
+		checkAgainstReference(t, loss, runMode{batch: 1, interleaved: interleaved})
+		checkAgainstReference(t, loss, runMode{batch: 64, interleaved: interleaved})
+	}
 }
 
 // TestMultiSystemGoroutineBound verifies the tentpole claim: the system's

@@ -48,17 +48,16 @@ type MultiSystem struct {
 	// backlink is the multiplexed back link: every station of every shard
 	// shares this one channel to the Alert Displayer pump — the in-process
 	// analog of transport.MuxSender's shared TCP connection, with the shard
-	// index as the stream id. FIFO on one channel preserves per-stream
-	// (hence per-condition, since conditions are co-sharded) alert order,
-	// which is what keeps displayed streams byte-identical to the inline
-	// baseline. Nil when MultiOptions.InlineFanIn is set.
+	// index as the stream id. FIFO on one channel with one consumer
+	// preserves per-stream (hence per-condition, since conditions are
+	// co-sharded) alert order, which is what keeps each condition's
+	// displayed stream independent of the shard schedule.
 	backlink   chan backFrame
 	pumpWg     sync.WaitGroup
 	backGauges []*obs.Gauge // per-stream queue depth, nil when metrics off
 
-	m   *multiMetrics // nil when MultiOptions.Metrics was nil
-	reg *obs.Registry // nil when MultiOptions.Metrics was nil
-	tr  *obs.Tracer   // nil when MultiOptions.Trace was nil
+	m  *multiMetrics // nil when MultiOptions.Metrics was nil
+	tr *obs.Tracer   // nil when MultiOptions.Trace was nil
 
 	mu     sync.Mutex
 	closed bool
@@ -245,13 +244,6 @@ type MultiOptions struct {
 	// every per-condition filter via ad.NewTraced. Nil (the default) leaves
 	// tracing off at one nil-check per hot-path site.
 	Trace *obs.Tracer
-	// InlineFanIn bypasses the multiplexed back link: shard workers offer
-	// alerts to the demux synchronously, one call per alert — the
-	// dedicated-connection, per-alert wiring of the pre-mux pipeline, kept
-	// as the equivalence baseline for tests. The default (false) coalesces
-	// each shard's alert runs into frames on one shared back-link channel
-	// drained by a single Alert Displayer pump.
-	InlineFanIn bool
 }
 
 // NewMulti builds and starts a multi-condition system. newFilter is called
@@ -297,18 +289,15 @@ func NewMulti(conds []cond.Condition, newFilter func(c cond.Condition) ad.Filter
 		return nil, err
 	}
 	sys := &MultiSystem{
-		dms:     make(map[event.VarName]*multiDM),
-		shards:  make([]*shard, opts.Workers),
-		demux:   demux,
-		byShard: make(map[string]int, len(conds)),
+		dms:      make(map[event.VarName]*multiDM),
+		shards:   make([]*shard, opts.Workers),
+		demux:    demux,
+		byShard:  make(map[string]int, len(conds)),
+		backlink: make(chan backFrame, backlinkBuffer),
+		tr:       opts.Trace,
 	}
 	if opts.Metrics != nil {
 		sys.m = newMultiMetrics(opts.Metrics)
-		sys.reg = opts.Metrics
-	}
-	sys.tr = opts.Trace
-	if !opts.InlineFanIn {
-		sys.backlink = make(chan backFrame, backlinkBuffer)
 	}
 	for i := range sys.shards {
 		sys.shards[i] = &shard{
@@ -396,19 +385,17 @@ func NewMulti(conds []cond.Condition, newFilter func(c cond.Condition) ad.Filter
 			})
 			opts.Metrics.Gauge(fmt.Sprintf("multi.shard.%d.stations", i)).Set(perShard[i])
 		}
-		if sys.backlink != nil {
-			// Per-stream back-link depth, the shard-gauge pattern applied to
-			// alert fan-in: stream i's gauge counts alerts enqueued by shard
-			// i and not yet filtered. The shared channel's frame depth is
-			// sampled separately.
-			sys.backGauges = make([]*obs.Gauge, len(sys.shards))
-			for i := range sys.shards {
-				sys.backGauges[i] = opts.Metrics.Gauge(fmt.Sprintf("multi.backlink.%d.queue", i))
-			}
-			opts.Metrics.GaugeFunc("multi.backlink.frames", func() int64 {
-				return int64(len(sys.backlink))
-			})
+		// Per-stream back-link depth, the shard-gauge pattern applied to
+		// alert fan-in: stream i's gauge counts alerts enqueued by shard i
+		// and not yet filtered. The shared channel's frame depth is sampled
+		// separately.
+		sys.backGauges = make([]*obs.Gauge, len(sys.shards))
+		for i := range sys.shards {
+			sys.backGauges[i] = opts.Metrics.Gauge(fmt.Sprintf("multi.backlink.%d.queue", i))
 		}
+		opts.Metrics.GaugeFunc("multi.backlink.frames", func() int64 {
+			return int64(len(sys.backlink))
+		})
 	}
 
 	for i, sh := range sys.shards {
@@ -419,13 +406,11 @@ func NewMulti(conds []cond.Condition, newFilter func(c cond.Condition) ad.Filter
 			sys.shardLoop(i, sh)
 		}()
 	}
-	if sys.backlink != nil {
-		sys.pumpWg.Add(1)
-		go func() {
-			defer sys.pumpWg.Done()
-			sys.pumpLoop()
-		}()
-	}
+	sys.pumpWg.Add(1)
+	go func() {
+		defer sys.pumpWg.Done()
+		sys.pumpLoop()
+	}()
 	return sys, nil
 }
 
@@ -536,12 +521,6 @@ func (s *MultiSystem) deliver(stream int, sh *shard, st *station, u event.Update
 	if !fired {
 		return
 	}
-	if s.backlink == nil {
-		if _, err := s.demux.Offer(a); err != nil {
-			s.recordErr(err)
-		}
-		return
-	}
 	s.sendBack(stream, append(sh.frameBuf(), a))
 }
 
@@ -554,7 +533,7 @@ func (s *MultiSystem) deliver(stream int, sh *shard, st *station, u event.Update
 // per-update loop interleaves them in. Under loss, replicas of one
 // condition diverge, so this merge is what keeps the displayed sequence
 // identical between the two paths. The merged run leaves as one coalesced
-// back-link frame (or as inline Offers when the mux is bypassed).
+// back-link frame.
 func (s *MultiSystem) deliverBatchAll(stream int, sh *shard, sts []*station, us []event.Update) {
 	v := us[0].Var
 	// Every alert in a batch of variable v was triggered by the v update it
@@ -600,10 +579,10 @@ func (s *MultiSystem) deliverBatchAll(stream int, sh *shard, sts []*station, us 
 		}
 	}
 	sh.active = active
-	var out []event.Alert
-	if s.backlink != nil && len(active) > 0 {
-		out = sh.frameBuf()
+	if len(active) == 0 {
+		return
 	}
+	out := sh.frameBuf()
 	for len(active) > 0 {
 		best := 0
 		for i := 1; i < len(active); i++ {
@@ -614,13 +593,9 @@ func (s *MultiSystem) deliverBatchAll(stream int, sh *shard, sts []*station, us 
 			}
 		}
 		st := active[best]
-		if s.backlink != nil {
-			// Coalesce: the station scratch buffers are reused next frame,
-			// so the alert values are copied into the frame's own run.
-			out = append(out, st.scratch[st.cursor])
-		} else if _, err := s.demux.Offer(st.scratch[st.cursor]); err != nil {
-			s.recordErr(err)
-		}
+		// Coalesce: the station scratch buffers are reused next frame, so
+		// the alert values are copied into the frame's own run.
+		out = append(out, st.scratch[st.cursor])
 		st.cursor++
 		if st.cursor < len(st.scratch) {
 			st.head = st.scratch[st.cursor].Histories[v].Latest().SeqNo
@@ -630,9 +605,7 @@ func (s *MultiSystem) deliverBatchAll(stream int, sh *shard, sts []*station, us 
 		copy(active[best:], active[best+1:])
 		active = active[:len(active)-1]
 	}
-	if len(out) > 0 {
-		s.sendBack(stream, out)
-	}
+	s.sendBack(stream, out)
 }
 
 func (s *MultiSystem) recordErr(err error) {
@@ -814,17 +787,14 @@ func (s *MultiSystem) VisitStations(fn func(condName string, replica int, ev *ce
 }
 
 // Drain blocks until every update emitted before the call has been fully
-// processed: shard queues flushed through the evaluators and — when the
-// multiplexed back link is active — every resulting alert offered to the
-// demux. It is the quiescent point for crash/recover surgery: after Drain
-// returns, Displayed captures exactly the emitted prefix.
+// processed: shard queues flushed through the evaluators and every
+// resulting alert offered to the demux. It is the quiescent point for
+// crash/recover surgery: after Drain returns, Displayed captures exactly
+// the emitted prefix.
 func (s *MultiSystem) Drain() error {
 	// A nil-callback visit is a pure barrier through every shard queue.
 	if err := s.VisitStations(nil); err != nil {
 		return err
-	}
-	if s.backlink == nil {
-		return nil
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -878,37 +848,9 @@ func (s *MultiSystem) Close() ([]event.Alert, error) {
 	s.wg.Wait()
 	// All shard workers have exited, so no sendBack is in flight: the back
 	// link drains to empty and the pump exits.
-	if s.backlink != nil {
-		close(s.backlink)
-		s.pumpWg.Wait()
-	}
+	close(s.backlink)
+	s.pumpWg.Wait()
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.demux.Displayed(), s.err
-}
-
-// QueueDepth reports the deepest pending-update queue among the shards
-// subscribed to variable v — the live backpressure signal an adaptive DM
-// pump sizes its EmitBatch runs from. Unknown variables report zero.
-func (s *MultiSystem) QueueDepth(v event.VarName) int {
-	dm, ok := s.dms[v]
-	if !ok {
-		return 0
-	}
-	depth := 0
-	for _, sh := range dm.shards {
-		if d := len(sh.in); d > depth {
-			depth = d
-		}
-	}
-	return depth
-}
-
-// BacklinkDepth reports how many coalesced alert frames are queued on the
-// multiplexed back link (zero when InlineFanIn bypassed it).
-func (s *MultiSystem) BacklinkDepth() int {
-	if s.backlink == nil {
-		return 0
-	}
-	return len(s.backlink)
 }
