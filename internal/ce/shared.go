@@ -28,6 +28,7 @@ package ce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -111,6 +112,7 @@ type Ref struct {
 // history truncation.
 type packState struct {
 	pack *cond.Pack
+	sig  string // the pack's key in SharedEvaluator.packs
 	// slots lists the pack's variables, ascending, each with its shared
 	// window: what a firing member's alert is snapshotted from.
 	slots []winSlot
@@ -233,7 +235,7 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 		sig := varsSig(vars)
 		ps, ok := s.packs[sig]
 		if !ok {
-			ps = &packState{pack: cond.NewPack(vars...), meta: make(map[int32]memberMeta)}
+			ps = &packState{pack: cond.NewPack(vars...), sig: sig, meta: make(map[int32]memberMeta)}
 			for _, v := range ps.pack.Vars() {
 				ps.slots = append(ps.slots, winSlot{v: v})
 			}
@@ -282,9 +284,9 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 }
 
 // Unregister removes a previously registered condition. The lane stops
-// evaluating it immediately; its shared windows persist (degrees never
-// shrink) so remaining readers are unaffected. Unregistering a zero or
-// stale Ref is a no-op.
+// evaluating it immediately; a pack left without members leaves the lane.
+// Shared windows persist (degrees never shrink) so remaining readers are
+// unaffected. Unregistering a zero or stale Ref is a no-op.
 func (s *SharedEvaluator) Unregister(r Ref) {
 	switch {
 	case r.ps != nil:
@@ -294,6 +296,12 @@ func (s *SharedEvaluator) Unregister(r Ref) {
 		r.ps.pack.Remove(r.id)
 		delete(r.ps.meta, r.id)
 		s.nMembers--
+		if r.ps.pack.Len() == 0 {
+			delete(s.packs, r.ps.sig)
+			for _, sl := range r.ps.slots {
+				s.byVarP[sl.v] = slices.DeleteFunc(s.byVarP[sl.v], func(ps *packState) bool { return ps == r.ps })
+			}
+		}
 	case r.st != nil && r.st.live:
 		r.st.live = false
 		for _, v := range r.st.ev.Condition().Vars() {

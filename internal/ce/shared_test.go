@@ -130,8 +130,9 @@ func TestSharedEvaluatorGrouping(t *testing.T) {
 }
 
 // TestSharedEvaluatorUnregister checks immediate removal: an unregistered
-// condition stops firing, siblings keep firing, and a second Unregister is
-// a no-op.
+// condition stops firing, siblings keep firing, a second Unregister is a
+// no-op, and a pack whose last member goes leaves the lane while its
+// windows stay.
 func TestSharedEvaluatorUnregister(t *testing.T) {
 	se, err := NewSharedEvaluator("CE1", false)
 	if err != nil {
@@ -141,7 +142,8 @@ func TestSharedEvaluatorUnregister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Register(cond.Threshold{CondName: "warm", Var: "x", Limit: 50, Above: true}, 1); err != nil {
+	refWarm, err := se.Register(cond.Threshold{CondName: "warm", Var: "x", Limit: 50, Above: true}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	refL6, err := se.Register(cond.NewLemma6Condition("x", "y"), 1)
@@ -168,6 +170,28 @@ func TestSharedEvaluatorUnregister(t *testing.T) {
 	}
 	if len(buf) != 1 || buf[0].Alert.Cond != "warm" {
 		t.Fatalf("after unregister: alerts %v, want just warm", buf)
+	}
+	if se.Packs() != 1 {
+		t.Fatalf("Packs() = %d with one member left, want 1", se.Packs())
+	}
+	se.Unregister(refWarm)
+	if se.Packs() != 0 || len(se.byVarP["x"]) != 0 || se.PackMembers() != 0 {
+		t.Fatalf("emptied pack stays: Packs() = %d, %d on x, members=%d", se.Packs(), len(se.byVarP["x"]), se.PackMembers())
+	}
+	if se.Windows().Window("x") == nil {
+		t.Fatal("emptied pack took its window with it")
+	}
+	buf, err = se.Feed(event.U("x", 3, 700), buf[:0])
+	if err != nil || len(buf) != 0 {
+		t.Fatalf("after last unregister: alerts %v, err %v; want none", buf, err)
+	}
+	// Re-registering the variable set opens a fresh pack on the warm window.
+	if _, err := se.Register(cond.Threshold{CondName: "back", Var: "x", Limit: 50, Above: true}, 2); err != nil {
+		t.Fatal(err)
+	}
+	buf, err = se.Feed(event.U("x", 4, 800), buf[:0])
+	if err != nil || se.Packs() != 1 || len(buf) != 1 || buf[0].Alert.Cond != "back" {
+		t.Fatalf("after re-register: Packs() = %d, alerts %v, err %v; want 1 pack and back", se.Packs(), buf, err)
 	}
 }
 

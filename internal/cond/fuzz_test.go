@@ -1,6 +1,10 @@
 package cond
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"condmon/internal/event"
@@ -85,4 +89,120 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("non-historical conditions must classify conservative")
 		}
 	})
+}
+
+// FuzzPackDifferential drives a {x} pack and an {x, y} pack with members,
+// removals and updates chosen by the input, and checks every update's fired
+// set and error presence against the tree-walking interpreter (Expr.Eval),
+// run for each live member at its own degree over the shared windows.
+// Members are "E op c" and "c op E" over the subjects below, so strict
+// members land in subject indexes and inclusive ones stay expressions;
+// update values include NaN and ±Inf.
+func FuzzPackDifferential(f *testing.F) {
+	subjects := []string{
+		"x[0]", "x[0] - x[-1]", "x[-2] - x[0]", "seqno(x, 0)", "1 / x[0]",
+		"abs(x[0] - y[0])", "x[0] - y[0]", "y[0] - x[-1]",
+	}
+	ops := []string{">", "<", ">=", "<="}
+	consts := []string{"0", "1", "-1", "2", "-2", "0.5", "3", "1000"}
+	values := []float64{0, 1, -1, 2, -2, 0.5, 3, math.NaN(), math.Inf(1), math.Inf(-1), 1000, math.Copysign(0, -1)}
+	f.Add([]byte{0, 0, 1, 9, 4, 40, 3, 0, 3, 3, 3, 5, 3, 14, 2, 1, 3, 6, 3, 15})
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]byte, 160)
+		rng.Read(b)
+		f.Add(b)
+	}
+	type member struct {
+		c    *Expr
+		p    *Pack
+		id   int32
+		live bool
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wins := liveView{}
+		for _, v := range []event.VarName{"x", "y"} {
+			wins[v], _ = event.NewWindow(v, 3)
+		}
+		packs := []*Pack{NewPack("x"), NewPack("x", "y")}
+		// The oracle costs members × updates interpreter runs: cap both so
+		// that grown inputs keep the fuzzer fast.
+		const maxMembers, maxOps = 48, 1024
+		var ms []member
+		seq := map[event.VarName]int64{}
+		for n := 0; len(data) >= 2 && n < maxOps; data, n = data[2:], n+1 {
+			op, arg := data[0], data[1]
+			switch op % 4 {
+			case 0, 1:
+				if len(ms) == maxMembers {
+					continue
+				}
+				e, o, c := subjects[int(arg)%len(subjects)], ops[int(arg/8)%len(ops)], consts[int(op/4)%len(consts)]
+				src := e + " " + o + " " + c
+				if arg >= 128 {
+					src = c + " " + o + " " + e
+				}
+				x := MustParse(fmt.Sprintf("m%d", len(ms)), src)
+				p := packs[len(x.Vars())-1]
+				id, ok := p.Add(x)
+				if !ok {
+					t.Fatalf("Add(%q) rejected", src)
+				}
+				ms = append(ms, member{c: x, p: p, id: id, live: true})
+			case 2:
+				if len(ms) > 0 {
+					m := &ms[int(arg)%len(ms)]
+					m.p.Remove(m.id)
+					m.live = false
+				}
+			case 3:
+				v := event.VarName("x")
+				if arg%2 == 1 {
+					v = "y"
+				}
+				seq[v] += int64(1 + (op/4)%2)
+				wins[v].TryPush(event.U(v, seq[v], values[int(arg/2)%len(values)]))
+				for _, p := range packs {
+					var want []int32
+					wantErr := false
+					for _, m := range ms {
+						if !m.live || m.p != p {
+							continue
+						}
+						fired, err, ready := oracleEval(m.c, wins)
+						if !ready {
+							continue
+						}
+						if err != nil {
+							wantErr = true
+						} else if fired {
+							want = append(want, m.id)
+						}
+					}
+					got, err := p.EvalAppend(wins, nil)
+					if (err != nil) != wantErr {
+						t.Fatalf("pack %v: error %v, want error=%v", p.Vars(), err, wantErr)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("pack %v: fired %v, want %v", p.Vars(), firedNames(p, got), firedNames(p, want))
+					}
+				}
+			}
+		}
+	})
+}
+
+// oracleEval interprets c over the windows cut to its own degrees; ready is
+// false while some window holds fewer entries than c reads.
+func oracleEval(c *Expr, wins liveView) (fired bool, err error, ready bool) {
+	hs := make(event.HistorySet, len(c.Vars()))
+	for _, v := range c.Vars() {
+		recent := wins[v].Live().Recent
+		if len(recent) < c.Degree(v) {
+			return false, nil, false
+		}
+		hs[v] = event.History{Var: v, Recent: slices.Clone(recent[:c.Degree(v)])}
+	}
+	fired, err = c.Eval(hs)
+	return fired, err, true
 }

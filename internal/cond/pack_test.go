@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"condmon/internal/event"
@@ -34,23 +36,28 @@ func newPackBaseline(t *testing.T, c Condition) *packBaseline {
 // fired, mirroring one evaluator step.
 func (b *packBaseline) feed(t *testing.T, u event.Update) bool {
 	t.Helper()
+	fired, err := b.step(u)
+	if err != nil {
+		t.Fatalf("baseline %s: %v", b.c.Name(), err)
+	}
+	return fired
+}
+
+// step is feed with the evaluation error returned rather than fatal.
+func (b *packBaseline) step(u event.Update) (bool, error) {
 	w, ok := b.wins[u.Var]
 	if !ok {
-		return false
+		return false, nil
 	}
 	w.TryPush(u)
 	hs := make(event.HistorySet, len(b.wins))
 	for v, win := range b.wins {
 		if !win.Full() {
-			return false
+			return false, nil
 		}
 		hs[v] = win.History()
 	}
-	fired, err := b.c.Eval(hs)
-	if err != nil {
-		t.Fatalf("baseline %s: %v", b.c.Name(), err)
-	}
-	return fired
+	return b.c.Eval(hs)
 }
 
 // firedNames maps a sorted fired-id slice to member names.
@@ -160,10 +167,10 @@ func TestPackMixedDifferential(t *testing.T) {
 		Drop{CondName: "dipc", Var: "x", Frac: 0.3, Consecutive: true},
 		MustParse("jump", "x[0] - x[-1] > 300 && consecutive(x)"),
 		MustParse("deep", "x[0] - x[-2] > 100"),
-		MustParse("thr", "x[0] > 500"),           // threshold-shaped: joins the index
+		MustParse("thr", "x[0] > 500"),           // threshold-shaped: joins the x[0] subject
 		MustParse("rthr", "250 > x[0]"),          // reversed threshold shape
 		MustParse("ge", "x[0] >= 900"),           // inclusive: stays an expr member
-		MustParse("risey", "x[0] - x[-1] > 200"), // shares CSE nodes with c2
+		MustParse("risey", "x[0] - x[-1] > 200"), // joins c2's subject
 	}
 	p := NewPack("x")
 	baselines := make(map[string]*packBaseline, len(conds))
@@ -266,28 +273,43 @@ func TestPackMultiVarDifferential(t *testing.T) {
 }
 
 // TestPackCSEInterning pins the sharing: a built-in Rise and the same
-// expression parsed from text lower to identical canonical keys, so the
-// intern table holds each distinct interior node once.
+// comparison parsed from text file under one subject, whose code the
+// intern table holds once, and an expression member over the same
+// subtraction reuses that code.
 func TestPackCSEInterning(t *testing.T) {
 	p := NewPack("x")
 	if _, ok := p.Add(NewRiseAggressive("x")); !ok {
 		t.Fatal("Add(Rise) rejected")
 	}
-	if len(p.intern) != 2 { // (x[0] - x[-1]) and the > comparison
-		t.Fatalf("intern table has %d entries after first member, want 2", len(p.intern))
+	if len(p.subjects) != 1 || len(p.exprIDs) != 0 {
+		t.Fatalf("Rise: %d subjects, %d expression members; want 1 and 0", len(p.subjects), len(p.exprIDs))
+	}
+	if len(p.intern) != 1 { // (x[0] - x[-1]); the comparison is the index's
+		t.Fatalf("intern table has %d entries after first member, want 1", len(p.intern))
 	}
 	if _, ok := p.Add(MustParse("same", "x[0] - x[-1] > 200")); !ok {
 		t.Fatal("Add(parsed) rejected")
 	}
-	if len(p.intern) != 2 {
-		t.Fatalf("intern table has %d entries after identical member, want still 2", len(p.intern))
+	if len(p.subjects) != 1 || p.subjects[0].liveN != 2 || len(p.intern) != 1 {
+		t.Fatalf("identical member: %d subjects (first holds %d), %d intern entries; want 1 (2), 1",
+			len(p.subjects), p.subjects[0].liveN, len(p.intern))
 	}
-	// A conservative variant shares the comparison subtree and adds the
-	// conjunction + guard.
+	// The reversed operand order files under the same subject too.
+	if _, ok := p.Add(MustParse("flip", "150 < x[0] - x[-1]")); !ok {
+		t.Fatal("Add(reversed) rejected")
+	}
+	if len(p.subjects) != 1 || p.subjects[0].liveN != 3 {
+		t.Fatalf("reversed member opened a subject of its own: %d subjects", len(p.subjects))
+	}
+	// A conservative variant is an expression member: it shares the
+	// subtraction and adds the comparison and the conjunction.
 	if _, ok := p.Add(NewRiseConservative("x")); !ok {
 		t.Fatal("Add(conservative Rise) rejected")
 	}
-	if len(p.intern) != 3 { // the && conjunction is new; consecutive(x) is a leaf
+	if len(p.subjects) != 1 || len(p.exprIDs) != 1 {
+		t.Fatalf("conservative Rise: %d subjects, %d expression members; want 1 and 1", len(p.subjects), len(p.exprIDs))
+	}
+	if len(p.intern) != 3 { // > and &&; consecutive(x) is a leaf
 		t.Fatalf("intern table has %d entries after conservative member, want 3", len(p.intern))
 	}
 }
@@ -311,6 +333,23 @@ func TestPackMemberErrorsAreIsolated(t *testing.T) {
 	}
 	if len(fired) != 1 || fired[0] != okID {
 		t.Fatalf("fired = %v, want just the threshold member %d", fired, okID)
+	}
+
+	// A failing subject fires none of its members and reports once, under
+	// its lowest live member's name.
+	p = NewPack("x")
+	first, _ := p.Add(MustParse("first", "1 / x[0] > 0"))
+	p.Add(MustParse("second", "0 < 1 / x[0]"))
+	p.Add(MustParse("third", "1 / x[0] < 5"))
+	if len(p.subjects) != 1 {
+		t.Fatalf("%d subjects, want 1", len(p.subjects))
+	}
+	for _, want := range []string{"first", "second"} {
+		fired, err = p.EvalAppend(event.HistorySet{"x": w.History()}, nil)
+		if err == nil || !strings.Contains(err.Error(), want) || len(fired) != 0 {
+			t.Fatalf("fired %v, err %v; want nothing and an error naming %s", fired, err, want)
+		}
+		p.Remove(first)
 	}
 }
 
@@ -389,5 +428,322 @@ func TestPackRemoveIdempotent(t *testing.T) {
 	}
 	if len(fired) != 1 || fired[0] != id2 {
 		t.Fatalf("fired %v, want just member b", fired)
+	}
+}
+
+// liveView serves windows' live histories, as the CE's shared windows do.
+type liveView map[event.VarName]*event.Window
+
+func (v liveView) HistoryOf(name event.VarName) (event.History, bool) {
+	w, ok := v[name]
+	if !ok {
+		return event.History{}, false
+	}
+	return w.Live(), true
+}
+
+// packDiff drives one pack over shared windows deep enough for every member
+// and checks each update against per-member baselines.
+type packDiff struct {
+	t    *testing.T
+	p    *Pack
+	wins liveView
+	ms   []*diffMember
+}
+
+type diffMember struct {
+	id   int32
+	base *packBaseline
+	live bool
+}
+
+func newPackDiff(t *testing.T, depth int, vars ...event.VarName) *packDiff {
+	d := &packDiff{t: t, p: NewPack(vars...), wins: liveView{}}
+	for _, v := range vars {
+		w, err := event.NewWindow(v, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.wins[v] = w
+	}
+	return d
+}
+
+// add registers c with the pack and with a baseline warmed from the shared
+// windows, as if it had seen the whole stream.
+func (d *packDiff) add(c Condition) int32 {
+	d.t.Helper()
+	id, ok := d.p.Add(c)
+	if !ok {
+		d.t.Fatalf("Add(%s) rejected", c.Name())
+	}
+	b := newPackBaseline(d.t, c)
+	for v, w := range b.wins {
+		recent := d.wins[v].Live().Recent
+		for i := len(recent) - 1; i >= 0; i-- {
+			w.TryPush(recent[i])
+		}
+	}
+	d.ms = append(d.ms, &diffMember{id: id, base: b, live: true})
+	return id
+}
+
+func (d *packDiff) remove(i int) {
+	d.p.Remove(d.ms[i].id)
+	d.ms[i].live = false
+}
+
+// push delivers one in-order update and checks the fired set — in
+// registration order — and the error's presence against the baselines.
+func (d *packDiff) push(u event.Update) {
+	d.t.Helper()
+	if !d.wins[u.Var].TryPush(u) {
+		d.t.Fatalf("update %v out of order", u)
+	}
+	var want []int32
+	wantErr := false
+	for _, m := range d.ms {
+		if !m.live {
+			continue
+		}
+		fired, err := m.base.step(u)
+		if err != nil {
+			wantErr = true
+		} else if fired {
+			want = append(want, m.id)
+		}
+	}
+	got, err := d.p.EvalAppend(d.wins, nil)
+	if (err != nil) != wantErr {
+		d.t.Fatalf("update %v: error %v, want error=%v", u, err, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		d.t.Fatalf("update %v: fired %v, want %v", u, firedNames(d.p, got), firedNames(d.p, want))
+	}
+}
+
+// diffTemplate is one member shape; sub reports whether it files under a
+// subject rather than compiling to an expression member.
+type diffTemplate struct {
+	sub  bool
+	make func(name string, c float64) Condition
+}
+
+func parsedTemplate(sub bool, format string) diffTemplate {
+	return diffTemplate{sub: sub, make: func(name string, c float64) Condition {
+		return MustParse(name, fmt.Sprintf(format, c))
+	}}
+}
+
+// TestPackComparisonIndexDifferential checks subject indexing against
+// per-condition evaluation on every update: one- and two-variable packs,
+// subjects of every kind in both operand orders, NaN limits and NaN/±Inf
+// values, inclusive comparisons staying expression members, a subject that
+// divides by zero, removals crossing tombstone compaction, and adds
+// interleaved with evaluations across thrMergeLimit.
+func TestPackComparisonIndexDifferential(t *testing.T) {
+	x := []diffTemplate{
+		{true, func(n string, c float64) Condition { return Threshold{CondName: n, Var: "x", Limit: c, Above: true} }},
+		{true, func(n string, c float64) Condition { return Threshold{CondName: n, Var: "x", Limit: c} }},
+		{false, func(n string, c float64) Condition {
+			return Threshold{CondName: n, Var: "x", Limit: math.NaN(), Above: c > 0}
+		}},
+		parsedTemplate(true, "x[0] > %v"),
+		parsedTemplate(true, "%v < x[0]"),
+		parsedTemplate(true, "%v > x[0]"),
+		parsedTemplate(true, "x[0] < %v"),
+		{true, func(n string, c float64) Condition { return Rise{CondName: n, Var: "x", Delta: c} }},
+		{false, func(n string, c float64) Condition { return Rise{CondName: n, Var: "x", Delta: c, Consecutive: true} }},
+		parsedTemplate(true, "x[0] - x[-1] > %v"),
+		parsedTemplate(true, "%v > x[0] - x[-1]"),
+		parsedTemplate(true, "x[-2] - x[0] < %v"),
+		parsedTemplate(true, "%v < x[-2] - x[0]"),
+		parsedTemplate(true, "seqno(x, 0) - seqno(x, -1) > %v"),
+		parsedTemplate(true, "seqno(x, 0) > %v"),
+		parsedTemplate(true, "1 / x[0] > %v"),
+		parsedTemplate(false, "x[0] >= %v"),
+		parsedTemplate(false, "%v <= x[0]"),
+		parsedTemplate(false, "x[0] - x[-1] > %v && consecutive(x)"),
+	}
+	xy := []diffTemplate{
+		{true, func(n string, c float64) Condition { return AbsDiff{CondName: n, X: "x", Y: "y", Limit: c} }},
+		parsedTemplate(true, "abs(x[0] - y[0]) > %v"),
+		parsedTemplate(true, "%v < abs(x[0] - y[0])"),
+		parsedTemplate(true, "x[0] - y[0] < %v"),
+		parsedTemplate(true, "y[0] - x[-1] > %v"),
+		parsedTemplate(true, "y[0] / x[0] < %v"),
+		{false, func(n string, _ float64) Condition { return GreaterThan{CondName: n, X: "x", Y: "y"} }},
+		parsedTemplate(false, "x[0] + y[0] >= %v"),
+	}
+	t.Run("x", func(t *testing.T) { runComparisonDifferential(t, 21, x, []event.VarName{"x"}) })
+	t.Run("xy", func(t *testing.T) { runComparisonDifferential(t, 22, xy, []event.VarName{"x", "y"}) })
+}
+
+func runComparisonDifferential(t *testing.T, seed int64, tpls []diffTemplate, vars []event.VarName) {
+	rng := rand.New(rand.NewSource(seed))
+	d := newPackDiff(t, 3, vars...)
+	limit := func() float64 { return float64(rng.Intn(25)-12) / 2 }
+	value := func() float64 {
+		switch rng.Intn(20) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		}
+		return float64(rng.Intn(13) - 6)
+	}
+	seq := map[event.VarName]int64{}
+	update := func() {
+		v := vars[rng.Intn(len(vars))]
+		seq[v] += int64(1 + rng.Intn(3))
+		d.push(event.U(v, seq[v], value()))
+	}
+	add := func(tpl diffTemplate) {
+		id := d.add(tpl.make(fmt.Sprintf("m%04d", len(d.ms)), limit()))
+		if sub := d.p.members[id].sub != nil; sub != tpl.sub {
+			t.Fatalf("%s: subject member = %v, want %v", d.p.MemberName(id), sub, tpl.sub)
+		}
+	}
+	for i := 0; i < 3*len(tpls); i++ {
+		add(tpls[rng.Intn(len(tpls))])
+	}
+	for i := 0; i < 300; i++ {
+		update()
+	}
+	// Churn: remove three in four, evaluating in between, then refill.
+	for i := range d.ms {
+		if rng.Intn(4) != 0 {
+			d.remove(i)
+		}
+		if i%4 == 0 {
+			update()
+		}
+	}
+	for i := 0; i < len(tpls); i++ {
+		add(tpls[rng.Intn(len(tpls))])
+	}
+	// Bulk adds to one direction of the first template's subject, out of
+	// limit order and interleaved with evaluations, across a merge.
+	bulk := len(d.ms)
+	for i := 0; i < thrMergeLimit+100; i++ {
+		add(tpls[0])
+		if i%8 == 0 {
+			update()
+		}
+	}
+	sub := d.p.members[d.ms[bulk].id].sub
+	if len(sub.above.sorted) == 0 {
+		t.Fatal("bulk adds never merged the pending run")
+	}
+	for i := 0; i < 100; i++ {
+		update()
+	}
+	// Removals crossing tombstone compaction in both runs.
+	for i := bulk; i < len(d.ms); i++ {
+		if rng.Intn(5) != 0 {
+			d.remove(i)
+		}
+		if i%16 == 0 {
+			update()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		update()
+	}
+	// Emptied subjects leave the pack.
+	for i := range d.ms {
+		if d.ms[i].live {
+			d.remove(i)
+		}
+	}
+	if d.p.Len() != 0 || len(d.p.subjects) != 0 || len(d.p.byKey) != 0 || len(d.p.exprIDs) != 0 {
+		t.Fatalf("empty pack keeps %d members, %d subjects, %d keys, %d expression members",
+			d.p.Len(), len(d.p.subjects), len(d.p.byKey), len(d.p.exprIDs))
+	}
+	update()
+}
+
+// fanoutPack builds one variable's pack of the engine-fanout workload:
+// 10000 thresholds with limits 1000+i and 1000 "v[0] - v[-1] > 990+i%8"
+// members spread round-robin over 16 variables leave variable 0 with 625
+// thresholds and, here, 62 rise members of one constant.
+func fanoutPack(tb testing.TB) *Pack {
+	p := NewPack("v")
+	for i := 0; i < 625; i++ {
+		if _, ok := p.Add(Threshold{CondName: fmt.Sprintf("t%05d", 16*i), Var: "v", Limit: 1000 + float64(16*i), Above: true}); !ok {
+			tb.Fatal("Add(threshold) rejected")
+		}
+	}
+	for i := 0; i < 62; i++ {
+		if _, ok := p.Add(MustParse(fmt.Sprintf("s%04d", 16*i), "v[0] - v[-1] > 990")); !ok {
+			tb.Fatal("Add(rise) rejected")
+		}
+	}
+	return p
+}
+
+// fanoutValues is engine-fanout's value stream: values on [100, 900) with
+// one spike on [1000, 1064) in every block of 100.
+func fanoutValues() []float64 {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]float64, 6400)
+	for i := range out {
+		out[i] = float64(100 + rng.Intn(800))
+		if i%100 == 37 {
+			out[i] = float64(1000 + (i/100)%64)
+		}
+	}
+	return out
+}
+
+// TestPackFanoutShape pins engine-fanout's per-variable pack to two
+// subjects — v[0] and v[0] - v[-1] — and no expression member.
+func TestPackFanoutShape(t *testing.T) {
+	p := fanoutPack(t)
+	if len(p.exprIDs) != 0 || len(p.subjects) != 2 {
+		t.Fatalf("%d expression members and %d subjects, want 0 and 2", len(p.exprIDs), len(p.subjects))
+	}
+}
+
+// TestPackEvalAppendAllocs pins the steady-state evaluation pass at zero
+// allocations.
+func TestPackEvalAppendAllocs(t *testing.T) {
+	p := fanoutPack(t)
+	w, _ := event.NewWindow("v", 2)
+	view := liveView{"v": w}
+	vals := fanoutValues()
+	fired := make([]int32, 0, 1024)
+	seq := int64(0)
+	step := func() {
+		seq++
+		w.TryPush(event.U("v", seq, vals[int(seq)%len(vals)]))
+		var err error
+		if fired, err = p.EvalAppend(view, fired[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(1000, step); a != 0 {
+		t.Fatalf("EvalAppend allocates %.2f times per update, want 0", a)
+	}
+}
+
+// BenchmarkPackEvalAppend times one update's evaluation pass at
+// engine-fanout's per-variable shape.
+func BenchmarkPackEvalAppend(b *testing.B) {
+	p := fanoutPack(b)
+	w, _ := event.NewWindow("v", 2)
+	view := liveView{"v": w}
+	vals := fanoutValues()
+	fired := make([]int32, 0, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.TryPush(event.U("v", int64(i+1), vals[i%len(vals)]))
+		fired, _ = p.EvalAppend(view, fired[:0])
 	}
 }
