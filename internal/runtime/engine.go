@@ -44,10 +44,18 @@ import (
 //     keeps pack evaluation byte-identical to the per-condition baseline
 //     under loss: the same deliveries reach the same windows either way.
 //
-// Control requests (add/remove) ride the shard frame channels, so a
-// registration is totally ordered after every update emitted before it;
-// Register and Unregister block until every lane of the owning shard has
-// applied the change.
+// The Engine runs to completion: the goroutine that emits or injects an
+// update evaluates it on every subscribed shard and offers the resulting
+// alerts to the Alert Displayer before the call returns. A shard is a lock
+// stripe — a mutex over its lanes — not a goroutine, and alerts are offered
+// while that lock is held, so each shard's alerts reach the demux in
+// evaluation order (the paper's FIFO back link) even when injectors race.
+// Control requests (add/remove/visit) apply inline under the same lock, so
+// a registration is totally ordered after every update evaluated before
+// it, and Register and Unregister return once every lane of the owning
+// shard has applied the change.
+//
+// Locks are taken in the order regMu → dm.mu → shard mu → demux mu.
 type Engine struct {
 	newFilter func(c cond.Condition) ad.Filter
 	loss      func(shard, replica int, v event.VarName) link.Model
@@ -56,16 +64,9 @@ type Engine struct {
 
 	shards []*eshard
 	demux  *multicond.LiveDemux
-	wg     sync.WaitGroup
-
-	// backlink is the multiplexed back link shared by every lane of every
-	// shard, drained by a single Alert Displayer pump (see MultiSystem).
-	backlink chan ebackFrame
-	pumpWg   sync.WaitGroup
 
 	// regMu guards the registry: the name → registration map, the epoch
-	// counter, and the closed flag. Control frames are sent while it is
-	// held, so no send can race Close's channel shutdown.
+	// counter, and the closed flag. Every control operation holds it.
 	regMu  sync.Mutex
 	regs   map[string]*engineReg
 	epoch  uint64
@@ -93,37 +94,26 @@ type engineReg struct {
 // the shards with at least one subscribed condition. DMs are created at a
 // variable's first registration and kept for the Engine's lifetime —
 // sequence numbers must keep ascending across unregister/re-register
-// cycles of the conditions reading the variable.
+// cycles of the conditions reading the variable. run is the scratch the
+// emitters build their runs in.
 type engineDM struct {
 	mu     sync.Mutex
 	seq    int64
 	closed bool
 	shards []*eshard
+	run    []event.Update
 }
 
-// eshard is one worker of the Engine's pool: a frame channel plus one
-// SharedEvaluator lane per replica. byName holds each registered
-// condition's per-lane Unregister handles; only the shard goroutine
-// touches it (via control frames).
+// eshard is one lock stripe of the Engine's pool: one SharedEvaluator
+// lane per replica, guarded by mu. byName holds each registered
+// condition's per-lane Unregister handles; buf is the member-alert
+// scratch a run's evaluation fills before its alerts are offered.
 type eshard struct {
+	mu     sync.Mutex
 	idx    int
-	in     chan emsg
 	lanes  []*elane
 	byName map[string][]ce.Ref
-	// free recycles back-link frame buffers from the pump, bounding
-	// steady-state allocation on the alert path.
-	free chan []ce.MemberAlert
-}
-
-// frameBuf returns an empty member-alert buffer, reusing a recycled one
-// when available.
-func (sh *eshard) frameBuf() []ce.MemberAlert {
-	select {
-	case b := <-sh.free:
-		return b[:0]
-	default:
-		return make([]ce.MemberAlert, 0, 8)
-	}
+	buf    []ce.MemberAlert
 }
 
 // elane is one CE replica of one shard: a shared evaluator over the
@@ -133,46 +123,6 @@ func (sh *eshard) frameBuf() []ce.MemberAlert {
 type elane struct {
 	se    *ce.SharedEvaluator
 	links map[event.VarName]*frontLink
-}
-
-// emsg is the unit carried by an Engine shard channel: a single update, a
-// batch, or an in-band control request. Control frames are immune to link
-// loss — they model operator actions, not sensor datagrams.
-type emsg struct {
-	u   event.Update
-	us  []event.Update
-	ctl *ectl
-}
-
-// Control operations carried by ectl.
-const (
-	ctlAdd = iota
-	ctlRemove
-	ctlVisitLanes
-)
-
-// ectl is one registry control request, applied to every lane of the
-// target shard in order; done reports completion (or the first lane
-// error) back to the blocked Register/Unregister call.
-type ectl struct {
-	op    int
-	c     cond.Condition // ctlAdd
-	name  string         // ctlRemove
-	epoch uint64
-	// visit runs against each lane in order (ctlVisitLanes); the first
-	// error is reported through done.
-	visit func(replica int, se *ce.SharedEvaluator) error
-	done  chan error
-}
-
-// ebackFrame is one coalesced run on the multiplexed back link: the
-// member alerts one shard produced for one frame, in evaluation order.
-// A frame with done non-nil is a flush token from Drain: the pump closes
-// done once every earlier frame has been fully offered.
-type ebackFrame struct {
-	stream int
-	alerts []ce.MemberAlert
-	done   chan struct{}
 }
 
 // engineMetrics is the Engine's aggregate instrumentation. All methods
@@ -271,9 +221,8 @@ type EngineOptions struct {
 	// engine.lost aggregated over every lane link, engine.ce.* counters
 	// shared by all lanes, engine.registered / engine.unregistered /
 	// engine.conditions for registry churn,
-	// engine.fenced / engine.suppressed / engine.displayed at the alert
-	// fan-in, per-shard engine.shard.<i>.queue gauges, and
-	// engine.backlink.frames for the shared back link.
+	// and engine.fenced / engine.suppressed / engine.displayed at the
+	// alert fan-in.
 	Metrics *obs.Registry
 	// NoPacks disables shared-window pack evaluation: every condition
 	// gets a private per-condition evaluator on its lanes. This is the
@@ -283,9 +232,12 @@ type EngineOptions struct {
 	NoPacks bool
 }
 
-// NewEngine builds and starts an empty dynamic monitoring engine.
-// newFilter is called once per registration to create the condition's
-// alert-stream filter instance (a re-registered name gets a fresh one).
+// NewEngine builds an empty dynamic monitoring engine; it starts no
+// goroutines. newFilter is called once per registration to create the
+// condition's alert-stream filter instance (a re-registered name gets a
+// fresh one). A filter's Accept runs on the emitting or injecting
+// goroutine, under the shard lock, so it must not call back into the
+// Engine.
 func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (*Engine, error) {
 	if newFilter == nil {
 		return nil, fmt.Errorf("runtime: engine needs a filter constructor")
@@ -309,7 +261,6 @@ func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (
 		noPacks:   opts.NoPacks,
 		shards:    make([]*eshard, opts.Workers),
 		demux:     multicond.NewLiveDemux(),
-		backlink:  make(chan ebackFrame, backlinkBuffer),
 		regs:      make(map[string]*engineReg),
 		dms:       make(map[event.VarName]*engineDM),
 	}
@@ -319,10 +270,8 @@ func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (
 	for i := range ng.shards {
 		sh := &eshard{
 			idx:    i,
-			in:     make(chan emsg, frontBuffer),
 			lanes:  make([]*elane, opts.Replicas),
 			byName: make(map[string][]ce.Ref),
-			free:   make(chan []ce.MemberAlert, backFreeList),
 		}
 		for r := range sh.lanes {
 			se, err := ce.NewSharedEvaluator(fmt.Sprintf("S%d/CE%d", i, r+1), opts.NoPacks)
@@ -342,15 +291,6 @@ func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (
 		ng.shards[i] = sh
 	}
 	if opts.Metrics != nil {
-		for i, sh := range ng.shards {
-			sh := sh
-			opts.Metrics.GaugeFunc(fmt.Sprintf("engine.shard.%d.queue", i), func() int64 {
-				return int64(len(sh.in))
-			})
-		}
-		opts.Metrics.GaugeFunc("engine.backlink.frames", func() int64 {
-			return int64(len(ng.backlink))
-		})
 		opts.Metrics.GaugeFunc("engine.fenced", func() int64 {
 			return int64(ng.demux.Fenced())
 		})
@@ -361,19 +301,6 @@ func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (
 			return int64(ng.demux.DisplayedCount())
 		})
 	}
-	for i, sh := range ng.shards {
-		i, sh := i, sh
-		ng.wg.Add(1)
-		go func() {
-			defer ng.wg.Done()
-			ng.eshardLoop(i, sh)
-		}()
-	}
-	ng.pumpWg.Add(1)
-	go func() {
-		defer ng.pumpWg.Done()
-		ng.epumpLoop()
-	}()
 	return ng, nil
 }
 
@@ -401,78 +328,62 @@ func (ng *Engine) newLaneLink(s, r int, v event.VarName) *frontLink {
 }
 
 // Register adds the condition to the running engine and returns its
-// registration epoch. The call blocks until every lane of the owning
-// shard has installed the condition: once Register returns, subsequently
-// emitted updates are evaluated against it. The new member sees the
-// lane's already-warm shared windows, so it can fire on the very next
-// update — a cold private evaluator would first refill its history — and
-// the registry documents this as the semantics of live registration.
-// Registering a name that is still live is an error.
+// registration epoch. Every lane of the owning shard has installed the
+// condition when Register returns, so updates emitted afterwards are
+// evaluated against it. The new member sees the lane's already-warm
+// shared windows, so it can fire on the very next update — a cold private
+// evaluator would first refill its history — and the registry documents
+// this as the semantics of live registration. Registering a name that is
+// still live is an error.
 func (ng *Engine) Register(c cond.Condition) (uint64, error) {
 	if len(c.Vars()) == 0 {
 		return 0, fmt.Errorf("runtime: condition %q has no variables", c.Name())
 	}
 	ng.regMu.Lock()
+	defer ng.regMu.Unlock()
 	if ng.closed {
-		ng.regMu.Unlock()
 		return 0, fmt.Errorf("runtime: Register: %w", ErrClosed)
 	}
 	if _, dup := ng.regs[c.Name()]; dup {
-		ng.regMu.Unlock()
 		return 0, fmt.Errorf("runtime: condition %q already registered", c.Name())
 	}
 	ng.epoch++
 	ep := ng.epoch
 	si := ng.shardFor(c.Name())
-	// The demux entry must exist before the shard can fire the condition;
-	// the lanes cannot fire it before the control frame below is applied.
+	// The demux entry must exist before the lanes can fire the condition.
 	if err := ng.demux.Register(c.Name(), ep, ng.newFilter(c)); err != nil {
-		ng.regMu.Unlock()
+		return 0, err
+	}
+	ng.subscribe(si, c.Vars())
+	if err := ng.addToShard(ng.shards[si], c, ep); err != nil {
+		ng.demux.Unregister(c.Name())
 		return 0, err
 	}
 	ng.regs[c.Name()] = &engineReg{c: c, epoch: ep, shard: si}
-	// Subscribe the shard to every variable before the control frame is
-	// enqueued: updates emitted after Register returns are then ordered
-	// after the add on the shard channel.
-	ng.subscribe(si, c.Vars())
-	done := make(chan error, 1)
-	ng.shards[si].in <- emsg{ctl: &ectl{op: ctlAdd, c: c, epoch: ep, done: done}}
-	ng.regMu.Unlock()
-	if err := <-done; err != nil {
-		ng.demux.Unregister(c.Name())
-		ng.regMu.Lock()
-		delete(ng.regs, c.Name())
-		ng.regMu.Unlock()
-		return 0, err
-	}
 	ng.m.reg()
 	return ep, nil
 }
 
 // Unregister removes the condition from the running engine. The alert
 // fan-in is fenced first, so the moment Unregister returns the
-// condition's displayed stream is final — alerts still in flight on the
-// back link are counted as fenced, never displayed. The call then blocks
-// until every lane of the owning shard has dropped the condition. The
+// condition's displayed stream is final — alerts of a run still being
+// evaluated are counted as fenced, never displayed. Every lane of the
+// owning shard has dropped the condition when the call returns. The
 // lane's shared windows persist (degrees never shrink), so co-sharded
 // conditions are unaffected.
 func (ng *Engine) Unregister(name string) error {
 	ng.regMu.Lock()
+	defer ng.regMu.Unlock()
 	if ng.closed {
-		ng.regMu.Unlock()
 		return fmt.Errorf("runtime: Unregister: %w", ErrClosed)
 	}
 	reg, ok := ng.regs[name]
 	if !ok {
-		ng.regMu.Unlock()
 		return fmt.Errorf("runtime: condition %q not registered", name)
 	}
 	delete(ng.regs, name)
 	ng.demux.Unregister(name)
-	done := make(chan error, 1)
-	ng.shards[reg.shard].in <- emsg{ctl: &ectl{op: ctlRemove, name: name, done: done}}
-	ng.regMu.Unlock()
-	<-done
+	ng.shards[reg.shard].remove(name)
 	ng.m.unreg()
 	return nil
 }
@@ -480,11 +391,12 @@ func (ng *Engine) Unregister(name string) error {
 // Rebalance redistributes the live conditions evenly across the shard
 // pool: names are sorted and assigned round-robin, and each mismatched
 // condition is moved — removed from its source shard, then added to its
-// destination — keeping its epoch, so alerts in flight across the move
-// stay valid. Updates delivered to the destination shard before the move
-// completes are not evaluated for the moving condition (its windows there
-// may also start cold); co-sharded conditions on both shards are
-// unaffected throughout. It returns the number of conditions moved.
+// destination — keeping its epoch, so nothing is fenced by the move.
+// Updates evaluated on the destination shard before the move completes
+// are not evaluated for the moving condition (its windows there may also
+// start cold); co-sharded conditions on both shards are unaffected
+// throughout. It holds one shard lock at a time and returns the number of
+// conditions moved.
 func (ng *Engine) Rebalance() (int, error) {
 	ng.regMu.Lock()
 	defer ng.regMu.Unlock()
@@ -503,13 +415,9 @@ func (ng *Engine) Rebalance() (int, error) {
 		if reg.shard == dst {
 			continue
 		}
-		done := make(chan error, 1)
-		ng.shards[reg.shard].in <- emsg{ctl: &ectl{op: ctlRemove, name: name, done: done}}
-		<-done
+		ng.shards[reg.shard].remove(name)
 		ng.subscribe(dst, reg.c.Vars())
-		done = make(chan error, 1)
-		ng.shards[dst].in <- emsg{ctl: &ectl{op: ctlAdd, c: reg.c, epoch: reg.epoch, done: done}}
-		if err := <-done; err != nil {
+		if err := ng.addToShard(ng.shards[dst], reg.c, reg.epoch); err != nil {
 			// Re-registration failed (should not happen for a condition
 			// that registered once already): drop it cleanly.
 			ng.demux.Unregister(name)
@@ -549,66 +457,64 @@ func (ng *Engine) subscribe(si int, vars []event.VarName) {
 	}
 }
 
-// eshardLoop drains one shard's channel, applying control frames and
-// driving every lane for update frames. stream is the shard's back-link
-// stream id.
-func (ng *Engine) eshardLoop(stream int, sh *eshard) {
-	for m := range sh.in {
-		switch {
-		case m.ctl != nil:
-			ng.applyCtl(sh, m.ctl)
-		case m.us != nil:
-			buf := sh.frameBuf()
-			for _, u := range m.us {
-				buf = ng.laneDeliver(sh, u, buf)
+// addToShard installs the condition on every lane of the shard, in lane
+// order, under the shard lock; if a lane refuses it, the lanes already
+// done drop it again.
+func (ng *Engine) addToShard(sh *eshard, c cond.Condition, epoch uint64) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	refs := make([]ce.Ref, len(sh.lanes))
+	for i, ln := range sh.lanes {
+		ref, err := ln.se.Register(c, epoch)
+		if err != nil {
+			for j := 0; j < i; j++ {
+				sh.lanes[j].se.Unregister(refs[j])
 			}
-			ng.esendBack(stream, sh, buf)
-		default:
-			buf := ng.laneDeliver(sh, m.u, sh.frameBuf())
-			ng.esendBack(stream, sh, buf)
+			return err
 		}
+		refs[i] = ref
+		for _, v := range c.Vars() {
+			if _, ok := ln.links[v]; !ok {
+				ln.links[v] = ng.newLaneLink(sh.idx, i, v)
+			}
+		}
+	}
+	sh.byName[c.Name()] = refs
+	return nil
+}
+
+// remove drops the condition from every lane of the shard under its lock.
+func (sh *eshard) remove(name string) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i, ref := range sh.byName[name] {
+		sh.lanes[i].se.Unregister(ref)
+	}
+	delete(sh.byName, name)
+}
+
+// deliver evaluates a run of one variable's updates on every shard
+// subscribed to it; dm.mu must be held. Each shard's alerts are offered
+// to the demux in evaluation order before its lock is released, so two
+// injectors racing on a shard cannot reorder its alert stream.
+func (ng *Engine) deliver(dm *engineDM, run []event.Update) {
+	for _, sh := range dm.shards {
+		ng.evalRun(sh, run)
 	}
 }
 
-// applyCtl applies one registry control request to every lane of the
-// shard, in lane order.
-func (ng *Engine) applyCtl(sh *eshard, c *ectl) {
-	switch c.op {
-	case ctlAdd:
-		refs := make([]ce.Ref, len(sh.lanes))
-		for i, ln := range sh.lanes {
-			ref, err := ln.se.Register(c.c, c.epoch)
-			if err != nil {
-				for j := 0; j < i; j++ {
-					sh.lanes[j].se.Unregister(refs[j])
-				}
-				c.done <- err
-				return
-			}
-			refs[i] = ref
-			for _, v := range c.c.Vars() {
-				if _, ok := ln.links[v]; !ok {
-					ln.links[v] = ng.newLaneLink(sh.idx, i, v)
-				}
-			}
-		}
-		sh.byName[c.c.Name()] = refs
-		c.done <- nil
-	case ctlRemove:
-		for i, ref := range sh.byName[c.name] {
-			sh.lanes[i].se.Unregister(ref)
-		}
-		delete(sh.byName, c.name)
-		c.done <- nil
-	case ctlVisitLanes:
-		var first error
-		for i, ln := range sh.lanes {
-			if err := c.visit(i, ln.se); err != nil && first == nil {
-				first = err
-			}
-		}
-		c.done <- first
+// evalRun is deliver's step for one shard.
+func (ng *Engine) evalRun(sh *eshard, run []event.Update) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	buf := sh.buf[:0]
+	for _, u := range run {
+		buf = ng.laneDeliver(sh, u, buf)
 	}
+	for _, ma := range buf {
+		ng.demux.Offer(ma.Alert, ma.Token)
+	}
+	sh.buf = buf
 }
 
 // laneDeliver runs one update through every lane of the shard: one link
@@ -637,38 +543,6 @@ func (ng *Engine) laneDeliver(sh *eshard, u event.Update, buf []ce.MemberAlert) 
 	return buf
 }
 
-// esendBack ships one coalesced member-alert run down the back link, or
-// recycles the empty buffer.
-func (ng *Engine) esendBack(stream int, sh *eshard, alerts []ce.MemberAlert) {
-	if len(alerts) == 0 {
-		select {
-		case sh.free <- alerts[:0]:
-		default:
-		}
-		return
-	}
-	ng.backlink <- ebackFrame{stream: stream, alerts: alerts}
-}
-
-// epumpLoop is the Alert Displayer pump: the single consumer of the back
-// link, offering each member alert to the fencing demux under its
-// registration epoch.
-func (ng *Engine) epumpLoop() {
-	for f := range ng.backlink {
-		if f.done != nil {
-			close(f.done)
-			continue
-		}
-		for _, ma := range f.alerts {
-			ng.demux.Offer(ma.Alert, ma.Token)
-		}
-		select {
-		case ng.shards[f.stream].free <- f.alerts[:0]:
-		default:
-		}
-	}
-}
-
 func (ng *Engine) recordEngineErr(err error) {
 	ng.errMu.Lock()
 	defer ng.errMu.Unlock()
@@ -683,27 +557,37 @@ func (ng *Engine) firstErr() error {
 	return ng.err
 }
 
-// Emit publishes a new reading of variable v to every shard with a
-// subscribed condition. The variable must have appeared in at least one
-// registration (DMs are created at first Register and kept for the
-// engine's lifetime).
-func (ng *Engine) Emit(v event.VarName, value float64) (int64, error) {
+// lockDM returns variable v's DM with its lock held, or an error naming
+// the calling operation op.
+func (ng *Engine) lockDM(op string, v event.VarName) (*engineDM, error) {
 	ng.dmMu.RLock()
 	dm := ng.dms[v]
 	ng.dmMu.RUnlock()
 	if dm == nil {
-		return 0, fmt.Errorf("runtime: no data monitor for variable %q", v)
+		return nil, fmt.Errorf("runtime: no data monitor for variable %q", v)
 	}
 	dm.mu.Lock()
-	defer dm.mu.Unlock()
 	if dm.closed {
-		return 0, fmt.Errorf("runtime: Emit: %w", ErrClosed)
+		dm.mu.Unlock()
+		return nil, fmt.Errorf("runtime: %s: %w", op, ErrClosed)
 	}
+	return dm, nil
+}
+
+// Emit publishes a new reading of variable v to every shard with a
+// subscribed condition and returns its sequence number once its alerts
+// are displayed or fenced. The variable must have appeared in at least
+// one registration (DMs are created at first Register and kept for the
+// engine's lifetime).
+func (ng *Engine) Emit(v event.VarName, value float64) (int64, error) {
+	dm, err := ng.lockDM("Emit", v)
+	if err != nil {
+		return 0, err
+	}
+	defer dm.mu.Unlock()
 	dm.seq++
-	f := emsg{u: event.U(v, dm.seq, value)}
-	for _, sh := range dm.shards {
-		sh.in <- f
-	}
+	dm.run = append(dm.run[:0], event.U(v, dm.seq, value))
+	ng.deliver(dm, dm.run)
 	ng.m.addEmitted(1)
 	return dm.seq, nil
 }
@@ -713,29 +597,20 @@ func (ng *Engine) Emit(v event.VarName, value float64) (int64, error) {
 // interleaved emitters. It returns the sequence number assigned to the
 // last reading (zero-length batches return the current counter).
 func (ng *Engine) EmitBatch(v event.VarName, values []float64) (int64, error) {
-	ng.dmMu.RLock()
-	dm := ng.dms[v]
-	ng.dmMu.RUnlock()
-	if dm == nil {
-		return 0, fmt.Errorf("runtime: no data monitor for variable %q", v)
+	dm, err := ng.lockDM("EmitBatch", v)
+	if err != nil {
+		return 0, err
 	}
-	dm.mu.Lock()
 	defer dm.mu.Unlock()
-	if dm.closed {
-		return 0, fmt.Errorf("runtime: EmitBatch: %w", ErrClosed)
-	}
 	if len(values) == 0 {
 		return dm.seq, nil
 	}
-	us := make([]event.Update, len(values))
-	for i, value := range values {
+	dm.run = dm.run[:0]
+	for _, value := range values {
 		dm.seq++
-		us[i] = event.U(v, dm.seq, value)
+		dm.run = append(dm.run, event.U(v, dm.seq, value))
 	}
-	f := emsg{us: us}
-	for _, sh := range dm.shards {
-		sh.in <- f
-	}
+	ng.deliver(dm, dm.run)
 	ng.m.addEmitted(int64(len(values)))
 	ng.m.incEmitBatches()
 	return dm.seq, nil
@@ -751,104 +626,73 @@ func (ng *Engine) EmitBatch(v event.VarName, values []float64) (int64, error) {
 // (UDPReceiverOptions.ReorderDepth) re-serializes cross-socket races
 // before dispatching here.
 func (ng *Engine) Inject(u event.Update) error {
-	ng.dmMu.RLock()
-	dm := ng.dms[u.Var]
-	ng.dmMu.RUnlock()
-	if dm == nil {
-		return fmt.Errorf("runtime: no data monitor for variable %q", u.Var)
+	dm, err := ng.lockDM("Inject", u.Var)
+	if err != nil {
+		return err
 	}
-	dm.mu.Lock()
 	defer dm.mu.Unlock()
-	if dm.closed {
-		return fmt.Errorf("runtime: Inject: %w", ErrClosed)
-	}
 	if u.SeqNo > dm.seq {
 		dm.seq = u.SeqNo
 	}
-	f := emsg{u: u}
-	for _, sh := range dm.shards {
-		sh.in <- f
-	}
+	dm.run = append(dm.run[:0], u)
+	ng.deliver(dm, dm.run)
 	ng.m.addEmitted(1)
 	return nil
 }
 
 // InjectBatch routes a run of externally-sequenced updates of variable v
-// as one frame per shard. The run is copied before it crosses the shard
-// channels, so the caller may hand in a pooled decode buffer and reuse it
-// the moment InjectBatch returns — the contract a
+// to every shard with a subscribed condition and returns once the run is
+// evaluated and its alerts displayed or fenced. The run is only read, and
+// only before InjectBatch returns, so the caller may hand in a pooled
+// decode buffer and reuse it at once — the contract a
 // transport.UDPReceiverOptions.Dispatch callback needs. Sequence numbers
 // must be ascending within the run; the DM counter advances past the last.
 func (ng *Engine) InjectBatch(v event.VarName, us []event.Update) error {
-	ng.dmMu.RLock()
-	dm := ng.dms[v]
-	ng.dmMu.RUnlock()
-	if dm == nil {
-		return fmt.Errorf("runtime: no data monitor for variable %q", v)
+	dm, err := ng.lockDM("InjectBatch", v)
+	if err != nil {
+		return err
 	}
-	dm.mu.Lock()
 	defer dm.mu.Unlock()
-	if dm.closed {
-		return fmt.Errorf("runtime: InjectBatch: %w", ErrClosed)
-	}
 	if len(us) == 0 {
 		return nil
 	}
-	run := make([]event.Update, len(us))
-	copy(run, us)
-	if last := run[len(run)-1].SeqNo; last > dm.seq {
+	if last := us[len(us)-1].SeqNo; last > dm.seq {
 		dm.seq = last
 	}
-	f := emsg{us: run}
-	for _, sh := range dm.shards {
-		sh.in <- f
-	}
-	ng.m.addEmitted(int64(len(run)))
+	ng.deliver(dm, us)
+	ng.m.addEmitted(int64(len(us)))
 	ng.m.incEmitBatches()
 	return nil
 }
 
-// Drain blocks until every update and alert emitted before the call has
-// been fully processed — shard queues empty and back-link alerts
-// filtered — without stopping the engine. It works by flushing a no-op
-// control frame through every shard (ordered after all prior frames) and
-// then waiting for the pump to drain the back link. Concurrent emitters
-// can keep the pipeline busy; Drain only guarantees its happens-before
-// edge: everything emitted before Drain began is displayed or fenced when
-// it returns.
+// Drain is a barrier for emitters running on other goroutines: it returns
+// once every run that was being evaluated on a shard when Drain reached
+// it has been displayed or fenced. Emit, EmitBatch, Inject and
+// InjectBatch display before they return, so everything emitted before
+// Drain began is displayed or fenced when it returns. It takes each shard
+// lock once and does not stop the engine.
 func (ng *Engine) Drain() error {
-	// regMu is held throughout: Close cannot shut the channels down under
-	// us, and the shard workers and pump never take it.
 	ng.regMu.Lock()
 	defer ng.regMu.Unlock()
 	if ng.closed {
 		return fmt.Errorf("runtime: Drain: %w", ErrClosed)
 	}
-	dones := make([]chan error, len(ng.shards))
-	for i, sh := range ng.shards {
-		dones[i] = make(chan error, 1)
-		// A remove of a name that was never registered is a no-op control
-		// frame that still answers done — the engine's flush token.
-		sh.in <- emsg{ctl: &ectl{op: ctlRemove, name: "", done: dones[i]}}
+	for _, sh := range ng.shards {
+		// The empty critical section is the barrier.
+		sh.mu.Lock()
+		sh.mu.Unlock()
 	}
-	for _, d := range dones {
-		<-d
-	}
-	// Every shard has enqueued all frames it produced before its token;
-	// one flush frame round-trips the pump behind them.
-	flushed := make(chan struct{})
-	ng.backlink <- ebackFrame{done: flushed}
-	<-flushed
 	return nil
 }
 
-// VisitLanes runs fn against every lane evaluator, on the owning shard
-// workers' own goroutines, totally ordered after every update enqueued
-// before the call — the recovery hook: fn can crash a lane and replay a
-// durable log into it (durable.RecoverLane) at a well-defined point of
-// the stream. Within a shard, lanes are visited in replica order; across
-// shards the visits run concurrently. The call blocks until every shard
-// has finished and returns the first error.
+// VisitLanes runs fn against every lane evaluator on the calling
+// goroutine, under the owning shard's lock, so each visit is ordered
+// after every update evaluated on the shard before it — the recovery
+// hook: fn can crash a lane and replay a durable log into it
+// (durable.RecoverLane) at a well-defined point of the stream. Shards are
+// visited in index order and lanes in replica order; every lane is
+// visited and the first error is returned. fn must not call back into
+// the Engine.
 func (ng *Engine) VisitLanes(fn func(shard, replica int, se *ce.SharedEvaluator) error) error {
 	if fn == nil {
 		return fmt.Errorf("runtime: VisitLanes needs a callback")
@@ -858,21 +702,15 @@ func (ng *Engine) VisitLanes(fn func(shard, replica int, se *ce.SharedEvaluator)
 	if ng.closed {
 		return fmt.Errorf("runtime: VisitLanes: %w", ErrClosed)
 	}
-	dones := make([]chan error, len(ng.shards))
-	for i, sh := range ng.shards {
-		i := i
-		dones[i] = make(chan error, 1)
-		sh.in <- emsg{ctl: &ectl{
-			op:    ctlVisitLanes,
-			visit: func(r int, se *ce.SharedEvaluator) error { return fn(i, r, se) },
-			done:  dones[i],
-		}}
-	}
 	var first error
-	for _, d := range dones {
-		if err := <-d; err != nil && first == nil {
-			first = err
+	for i, sh := range ng.shards {
+		sh.mu.Lock()
+		for r, ln := range sh.lanes {
+			if err := fn(i, r, ln.se); err != nil && first == nil {
+				first = err
+			}
 		}
+		sh.mu.Unlock()
 	}
 	return first
 }
@@ -925,33 +763,22 @@ func (ng *Engine) ShardOf(name string) (int, bool) {
 	return reg.shard, true
 }
 
-// Close drains the pipeline and returns the merged displayed sequence,
-// plus the first evaluation error encountered (if any).
+// Close stops the engine and returns the merged displayed sequence, plus
+// the first evaluation error encountered (if any). Closing each DM under
+// its lock waits out an emitter still evaluating a run, so nothing is
+// evaluated or displayed after Close returns.
 func (ng *Engine) Close() ([]event.Alert, error) {
 	ng.regMu.Lock()
-	if ng.closed {
-		ng.regMu.Unlock()
-		return ng.demux.Displayed(), ng.firstErr()
+	defer ng.regMu.Unlock()
+	if !ng.closed {
+		ng.closed = true
+		ng.dmMu.Lock()
+		for _, dm := range ng.dms {
+			dm.mu.Lock()
+			dm.closed = true
+			dm.mu.Unlock()
+		}
+		ng.dmMu.Unlock()
 	}
-	ng.closed = true
-	ng.regMu.Unlock()
-
-	// Stop every DM first: once each dm.mu has been held with closed set,
-	// no Emit can be mid-send. Register/Unregister/Rebalance sends happen
-	// under regMu, which has already seen closed — so the shard channels
-	// are safe to close.
-	ng.dmMu.Lock()
-	for _, dm := range ng.dms {
-		dm.mu.Lock()
-		dm.closed = true
-		dm.mu.Unlock()
-	}
-	ng.dmMu.Unlock()
-	for _, sh := range ng.shards {
-		close(sh.in)
-	}
-	ng.wg.Wait()
-	close(ng.backlink)
-	ng.pumpWg.Wait()
 	return ng.demux.Displayed(), ng.firstErr()
 }
