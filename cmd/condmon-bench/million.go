@@ -32,7 +32,8 @@ type millionResult struct {
 	Workers    int `json:"workers"`
 	Goroutines int `json:"goroutines"`
 	// RegisterPerSec is the bulk-load rate: conditions registered per
-	// second on the live engine, control frames and all.
+	// second on the live engine, each applied inline to every lane of its
+	// shard under the shard lock before Register returns.
 	RegisterPerSec float64 `json:"register_per_sec"`
 	Updates        int     `json:"updates"`
 	NsPerUpdate    float64 `json:"ns_per_update"`
@@ -120,7 +121,8 @@ func millionDrive(ng *crt.Engine, vars []event.VarName, updates int) (float64, e
 
 // millionChurn runs cycles of Register followed immediately by
 // Unregister against the loaded engine — the registry's worst case, every
-// operation a control-frame round trip — and returns operations/second.
+// operation a pass over the owning shard's lanes under its lock, with
+// regMu held — and returns operations/second.
 // The churned thresholds sit far above the traffic range so they never
 // fire before they disappear.
 func millionChurn(ng *crt.Engine, v event.VarName, cycles int) (float64, error) {

@@ -48,44 +48,24 @@ func NewSharedWindows() *SharedWindows {
 	return &SharedWindows{wins: make(map[event.VarName]*event.Window)}
 }
 
-// Ensure creates the variable's window at the given degree, or widens an
-// existing one (Window.Grow) when a new reader needs deeper history.
-func (s *SharedWindows) Ensure(v event.VarName, degree int) error {
+// Ensure returns the variable's window, created at the given degree or,
+// when it exists, widened in place (Window.Grow) if a new reader needs
+// deeper history: a window's pointer never changes once created.
+func (s *SharedWindows) Ensure(v event.VarName, degree int) (*event.Window, error) {
 	if w, ok := s.wins[v]; ok {
 		w.Grow(degree)
-		return nil
+		return w, nil
 	}
 	w, err := event.NewWindow(v, degree)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.wins[v] = w
-	return nil
+	return w, nil
 }
 
 // Window returns the variable's window, or nil when untracked.
 func (s *SharedWindows) Window(v event.VarName) *event.Window { return s.wins[v] }
-
-// Push incorporates an update into the variable's shared window. It
-// reports false — one discard, observed by every reader at once — when the
-// variable is untracked or the delivery is out of order.
-func (s *SharedWindows) Push(u event.Update) bool {
-	w := s.wins[u.Var]
-	if w == nil {
-		return false
-	}
-	return w.TryPush(u)
-}
-
-// HistoryOf implements event.HistoryView over the live windows. Returned
-// histories alias window storage and are valid only until the next Push.
-func (s *SharedWindows) HistoryOf(v event.VarName) (event.History, bool) {
-	w := s.wins[v]
-	if w == nil {
-		return event.History{}, false
-	}
-	return w.Live(), true
-}
 
 // Len returns the number of tracked variables.
 func (s *SharedWindows) Len() int { return len(s.wins) }
@@ -114,8 +94,10 @@ type packState struct {
 	pack *cond.Pack
 	sig  string // the pack's key in SharedEvaluator.packs
 	// slots lists the pack's variables, ascending, each with its shared
-	// window: what a firing member's alert is snapshotted from.
+	// window: what a firing member's alert is snapshotted from. ws holds
+	// the same windows in the same order, as Pack.EvalWindows reads them.
 	slots []winSlot
+	ws    []*event.Window
 	meta  map[int32]memberMeta
 }
 
@@ -147,8 +129,9 @@ type straggler struct {
 // SharedEvaluator is one CE lane of one shard: it owns the lane's shared
 // windows and evaluates every registered condition — pack members in one
 // pass per pack, stragglers individually — against each delivered update.
-// Like Evaluator, it is not safe for concurrent use; the runtime wraps it
-// in a single goroutine.
+// Like Evaluator, it is not safe for concurrent use; runtime.Engine
+// guards each lane, and every VarLane record held from it, with its
+// shard's lock.
 type SharedEvaluator struct {
 	id   string
 	wins *SharedWindows
@@ -157,14 +140,13 @@ type SharedEvaluator struct {
 	// suite compares pack evaluation against.
 	noPacks bool
 
-	packs  map[string]*packState // keyed by variable-set signature
-	byVarP map[event.VarName][]*packState
-	byVarS map[event.VarName][]*straggler
+	packs map[string]*packState // keyed by variable-set signature
+	vars  map[event.VarName]*VarLane
 
 	nMembers    int
 	nStragglers int
 
-	fired []int32     // scratch for Pack.EvalAppend
+	fired []int32     // scratch for Pack.EvalWindows
 	snaps []firedSnap // scratch: one entry per degree signature fired in a pass
 	m     *Metrics
 
@@ -187,9 +169,34 @@ func NewSharedEvaluator(id string, noPacks bool) (*SharedEvaluator, error) {
 		wins:    NewSharedWindows(),
 		noPacks: noPacks,
 		packs:   make(map[string]*packState),
-		byVarP:  make(map[event.VarName][]*packState),
-		byVarS:  make(map[event.VarName][]*straggler),
+		vars:    make(map[event.VarName]*VarLane),
 	}, nil
+}
+
+// VarLane is one variable's record on a lane: its shared window and every
+// pack and straggler reading it — all an update of the variable is fed
+// through. A record is created at the variable's first registration and
+// never freed, and Register and Unregister keep it current in place, so a
+// record held across them (FeedLane's handle) stays valid for the lane's
+// lifetime.
+type VarLane struct {
+	w      *event.Window // nil until a pack reads the variable
+	packs  []*packState
+	strags []*straggler
+}
+
+// Lane returns the variable's record, or nil when no condition registered
+// on the lane has read it.
+func (s *SharedEvaluator) Lane(v event.VarName) *VarLane { return s.vars[v] }
+
+// lane returns the variable's record, creating it on first use.
+func (s *SharedEvaluator) lane(v event.VarName) *VarLane {
+	vl := s.vars[v]
+	if vl == nil {
+		vl = &VarLane{}
+		s.vars[v] = vl
+	}
+	return vl
 }
 
 // ID returns the lane identity.
@@ -239,16 +246,21 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 			for _, v := range ps.pack.Vars() {
 				ps.slots = append(ps.slots, winSlot{v: v})
 			}
+			ps.ws = make([]*event.Window, len(ps.slots))
 		}
 		if id, added := ps.pack.Add(c); added {
 			// Size the shared windows before the pack can be evaluated.
 			for i := range ps.slots {
 				sl := &ps.slots[i]
-				if err := s.wins.Ensure(sl.v, ps.pack.Degree(sl.v)); err != nil {
+				w, err := s.wins.Ensure(sl.v, ps.pack.Degree(sl.v))
+				if err != nil {
 					ps.pack.Remove(id)
 					return Ref{}, fmt.Errorf("ce: %s: register %q: %w", s.id, c.Name(), err)
 				}
-				sl.w = s.wins.Window(sl.v)
+				if sl.w == nil { // a new pack's first member
+					sl.w, ps.ws[i] = w, w
+					s.lane(sl.v).w = w
+				}
 			}
 			degs := make([]int, len(ps.slots))
 			key := make([]byte, 0, 2*len(ps.slots))
@@ -261,7 +273,8 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 			if !ok {
 				s.packs[sig] = ps
 				for _, sl := range ps.slots {
-					s.byVarP[sl.v] = append(s.byVarP[sl.v], ps)
+					vl := s.vars[sl.v]
+					vl.packs = append(vl.packs, ps)
 				}
 			}
 			s.nMembers++
@@ -277,7 +290,8 @@ func (s *SharedEvaluator) Register(c cond.Condition, token uint64) (Ref, error) 
 	ev.SetMetrics(s.m)
 	st := &straggler{ev: ev, token: token, live: true}
 	for _, v := range c.Vars() {
-		s.byVarS[v] = append(s.byVarS[v], st)
+		vl := s.lane(v)
+		vl.strags = append(vl.strags, st)
 	}
 	s.nStragglers++
 	return Ref{st: st}, nil
@@ -299,30 +313,33 @@ func (s *SharedEvaluator) Unregister(r Ref) {
 		if r.ps.pack.Len() == 0 {
 			delete(s.packs, r.ps.sig)
 			for _, sl := range r.ps.slots {
-				s.byVarP[sl.v] = slices.DeleteFunc(s.byVarP[sl.v], func(ps *packState) bool { return ps == r.ps })
+				vl := s.vars[sl.v]
+				vl.packs = slices.DeleteFunc(vl.packs, func(ps *packState) bool { return ps == r.ps })
 			}
 		}
 	case r.st != nil && r.st.live:
 		r.st.live = false
 		for _, v := range r.st.ev.Condition().Vars() {
-			list := s.byVarS[v]
-			for i, st := range list {
-				if st == r.st {
-					s.byVarS[v] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
+			vl := s.vars[v]
+			vl.strags = slices.DeleteFunc(vl.strags, func(st *straggler) bool { return st == r.st })
 		}
 		s.nStragglers--
 	}
 }
 
-// Feed delivers one update to the lane: one shared-window push, one
-// evaluation pass per pack reading the variable, one private Feed per
+// Feed delivers one update to the lane: FeedLane through the record of
+// the update's variable.
+func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert, error) {
+	return s.FeedLane(s.vars[u.Var], u, out)
+}
+
+// FeedLane delivers one update through vl, the record Lane returned for
+// the update's variable (nil when it had none): one shared-window push,
+// one evaluation pass per pack reading the variable, one private Feed per
 // straggler reading it. Alerts of every firing condition are appended to
 // out in registration order (per pack, then stragglers). Evaluation errors
 // do not stop the pass; the first is returned at the end.
-func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert, error) {
+func (s *SharedEvaluator) FeedLane(vl *VarLane, u event.Update, out []MemberAlert) ([]MemberAlert, error) {
 	var firstErr error
 	if s.journal != nil {
 		// Journal the delivery itself, not its effects: the replayed
@@ -332,12 +349,15 @@ func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert
 			firstErr = fmt.Errorf("ce: %s: journal: %w", s.id, err)
 		}
 	}
-	if w := s.wins.Window(u.Var); w != nil {
+	if vl == nil {
+		return out, firstErr
+	}
+	if w := vl.w; w != nil {
 		if w.TryPush(u) {
 			s.m.incFed()
-			for _, ps := range s.byVarP[u.Var] {
+			for _, ps := range vl.packs {
 				var err error
-				s.fired, err = ps.pack.EvalAppend(s.wins, s.fired[:0])
+				s.fired, err = ps.pack.EvalWindows(ps.ws, s.fired[:0])
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("ce: %s: %w", s.id, err)
 				}
@@ -362,7 +382,7 @@ func (s *SharedEvaluator) Feed(u event.Update, out []MemberAlert) ([]MemberAlert
 			s.m.incDiscarded()
 		}
 	}
-	for _, st := range s.byVarS[u.Var] {
+	for _, st := range vl.strags {
 		a, fired, err := st.ev.Feed(u)
 		if err != nil {
 			if firstErr == nil {
@@ -405,10 +425,14 @@ func (s *SharedEvaluator) SetJournal(fn func(event.Update) error) { s.journal = 
 // (a delta also covered by a later checkpoint) are rejected as stale by
 // the windows and harmless.
 func (s *SharedEvaluator) Absorb(u event.Update) {
-	if w := s.wins.Window(u.Var); w != nil {
-		w.TryPush(u)
+	vl := s.vars[u.Var]
+	if vl == nil {
+		return
 	}
-	for _, st := range s.byVarS[u.Var] {
+	if vl.w != nil {
+		vl.w.TryPush(u)
+	}
+	for _, st := range vl.strags {
 		st.ev.Absorb(u)
 	}
 }
@@ -468,8 +492,8 @@ func (s *SharedEvaluator) VisitStragglers(fn func(ev *Evaluator)) { s.visitStrag
 func (s *SharedEvaluator) visitStragglers(fn func(ev *Evaluator)) {
 	seen := make(map[*straggler]bool, s.nStragglers)
 	evs := make([]*Evaluator, 0, s.nStragglers)
-	for _, list := range s.byVarS {
-		for _, st := range list {
+	for _, vl := range s.vars {
+		for _, st := range vl.strags {
 			if st.live && !seen[st] {
 				seen[st] = true
 				evs = append(evs, st.ev)
@@ -488,8 +512,8 @@ func (s *SharedEvaluator) visitStragglers(fn func(ev *Evaluator)) {
 // condition, or nil — the recovery router for checkpointed straggler
 // window sets.
 func (s *SharedEvaluator) StragglerFor(name string) *Evaluator {
-	for _, list := range s.byVarS {
-		for _, st := range list {
+	for _, vl := range s.vars {
+		for _, st := range vl.strags {
 			if st.live && st.ev.Condition().Name() == name {
 				return st.ev
 			}

@@ -1,6 +1,7 @@
 package ce
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -175,8 +176,8 @@ func TestSharedEvaluatorUnregister(t *testing.T) {
 		t.Fatalf("Packs() = %d with one member left, want 1", se.Packs())
 	}
 	se.Unregister(refWarm)
-	if se.Packs() != 0 || len(se.byVarP["x"]) != 0 || se.PackMembers() != 0 {
-		t.Fatalf("emptied pack stays: Packs() = %d, %d on x, members=%d", se.Packs(), len(se.byVarP["x"]), se.PackMembers())
+	if se.Packs() != 0 || len(se.Lane("x").packs) != 0 || se.PackMembers() != 0 {
+		t.Fatalf("emptied pack stays: Packs() = %d, %d on x, members=%d", se.Packs(), len(se.Lane("x").packs), se.PackMembers())
 	}
 	if se.Windows().Window("x") == nil {
 		t.Fatal("emptied pack took its window with it")
@@ -193,6 +194,141 @@ func TestSharedEvaluatorUnregister(t *testing.T) {
 	if err != nil || se.Packs() != 1 || len(buf) != 1 || buf[0].Alert.Cond != "back" {
 		t.Fatalf("after re-register: Packs() = %d, alerts %v, err %v; want 1 pack and back", se.Packs(), buf, err)
 	}
+}
+
+// TestSharedEvaluatorLaneHandle holds x's record across every change
+// Register and Unregister make to it — the first pack created, a second
+// pack reading x, the first pack emptied, a straggler joining and leaving —
+// and across Crash plus RestoreSharedWindows, feeding x's updates through
+// the held record between steps. After each step every live condition's
+// alerts must equal those of its own per-condition Evaluator fed the same
+// updates. Every condition is of degree 1, so a pack member joining warm
+// shared windows and an oracle warmed from them see the same histories.
+func TestSharedEvaluatorLaneHandle(t *testing.T) {
+	se, err := NewSharedEvaluator("CE1", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type live struct {
+		ref    Ref
+		ev     *Evaluator
+		packed bool
+	}
+	regs := map[string]*live{}
+	register := func(c cond.Condition) {
+		t.Helper()
+		ref, err := se.Register(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := New("CE1", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := ref.ps != nil
+		if packed {
+			for _, v := range c.Vars() {
+				if w := se.Windows().Window(v); w != nil {
+					recent := w.Live().Recent
+					for i := len(recent) - 1; i >= 0; i-- {
+						ev.Absorb(recent[i])
+					}
+				}
+			}
+		}
+		regs[c.Name()] = &live{ref: ref, ev: ev, packed: packed}
+	}
+	unregister := func(name string) {
+		se.Unregister(regs[name].ref)
+		delete(regs, name)
+	}
+	above := func(name string, limit float64) cond.Condition {
+		return cond.Func{CondName: name, VarDegrees: map[event.VarName]int{"x": 1}, Fn: func(h event.HistorySet) bool {
+			return h["x"].Latest().Value > limit
+		}}
+	}
+
+	// A straggler reading x makes the record exist before any pack does.
+	register(above("odd", 500))
+	vl := se.Lane("x")
+	if vl == nil {
+		t.Fatal("no record for x after a straggler registered on it")
+	}
+	stream := gappyStream(1400, 23)
+	var buf []MemberAlert
+	feed := func(step string) {
+		t.Helper()
+		fired := 0
+		for _, u := range stream[:200] {
+			if u.Var == "x" {
+				buf, err = se.FeedLane(vl, u, buf[:0])
+			} else {
+				buf, err = se.Feed(u, buf[:0])
+			}
+			if err != nil {
+				t.Fatalf("%s: Feed(%v): %v", step, u, err)
+			}
+			got := map[string]string{}
+			for _, ma := range buf {
+				got[ma.Alert.Cond] = ma.Alert.Key()
+			}
+			want := map[string]string{}
+			for name, l := range regs {
+				a, ok, err := l.ev.Feed(u)
+				if err != nil {
+					t.Fatalf("%s: oracle %s: %v", step, name, err)
+				}
+				if ok {
+					want[name] = a.Key()
+				}
+			}
+			if len(got) != len(buf) || !maps.Equal(got, want) {
+				t.Fatalf("%s: update %v: alerts %v, want %v", step, u, got, want)
+			}
+			fired += len(buf)
+		}
+		if fired == 0 {
+			t.Fatalf("%s: nothing fired; stream too tame", step)
+		}
+		if se.Lane("x") != vl {
+			t.Fatalf("%s: x's record was replaced", step)
+		}
+		stream = stream[200:]
+	}
+	feed("straggler only")
+
+	register(cond.Threshold{CondName: "hot", Var: "x", Limit: 700, Above: true})
+	feed("first pack created")
+
+	register(cond.GreaterThan{CondName: "A", X: "x", Y: "y"})
+	feed("second pack created")
+
+	unregister("hot")
+	if se.Packs() != 1 {
+		t.Fatalf("Packs() = %d after the first pack emptied, want 1", se.Packs())
+	}
+	feed("first pack left")
+
+	register(above("even", 200))
+	feed("straggler joined")
+	unregister("even")
+	feed("straggler left")
+
+	states := se.SharedWindowStates()
+	se.Crash()
+	if err := se.RestoreSharedWindows(states); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range regs {
+		snap := l.ev.WindowStates()
+		l.ev.Crash()
+		if l.packed {
+			if err := l.ev.RestoreWindows(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed("crash and restore")
 }
 
 // TestSharedEvaluatorWarmStart documents live registration's semantics: a

@@ -238,7 +238,7 @@ type Pack struct {
 	intern  map[string]compiled
 	members []packMember
 	// exprIDs lists live expression members in arbitrary order (removal is
-	// swap-delete); EvalAppend sorts fired ids so evaluation order never
+	// swap-delete); eval sorts fired ids so evaluation order never
 	// shows through. subjects is likewise unordered.
 	exprIDs  []int32
 	subjects []*subject
@@ -511,14 +511,8 @@ func (p *Pack) ready(degs []int) bool {
 	return true
 }
 
-// EvalAppend evaluates every member against the view and appends the ids
-// of those that fired, sorted ascending (= registration order). A member
-// whose per-variable degree is not yet met is skipped, exactly as a
-// private evaluator would skip evaluation while its windows fill. Member
-// evaluation errors do not stop the pass: remaining members still
-// evaluate, and the first error is returned alongside the fired set. A
-// subject whose evaluation fails fires none of its members and reports the
-// error once, under its lowest live member's name.
+// EvalAppend is EvalWindows over histories found by name: it resolves
+// each pack variable in the view, then runs the same evaluation pass.
 func (p *Pack) EvalAppend(h event.HistoryView, fired []int32) ([]int32, error) {
 	for i, v := range p.vars {
 		hv, ok := h.HistoryOf(v)
@@ -527,6 +521,27 @@ func (p *Pack) EvalAppend(h event.HistoryView, fired []int32) ([]int32, error) {
 		}
 		p.env.slots[i] = hv
 	}
+	return p.eval(fired)
+}
+
+// EvalWindows evaluates every member against the windows — one per pack
+// variable, in Vars() order — and appends the ids of those that fired,
+// sorted ascending (= registration order). A member whose per-variable
+// degree is not yet met is skipped, exactly as a private evaluator would
+// skip evaluation while its windows fill. Member evaluation errors do not
+// stop the pass: remaining members still evaluate, and the first error is
+// returned alongside the fired set. A subject whose evaluation fails fires
+// none of its members and reports the error once, under its lowest live
+// member's name.
+func (p *Pack) EvalWindows(ws []*event.Window, fired []int32) ([]int32, error) {
+	for i, w := range ws {
+		p.env.slots[i] = w.Live()
+	}
+	return p.eval(fired)
+}
+
+// eval is the evaluation pass over the histories in env.slots.
+func (p *Pack) eval(fired []int32) ([]int32, error) {
 	p.env.round++
 	start := len(fired)
 	var firstErr error

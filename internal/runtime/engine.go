@@ -107,13 +107,23 @@ type engineDM struct {
 // eshard is one lock stripe of the Engine's pool: one SharedEvaluator
 // lane per replica, guarded by mu. byName holds each registered
 // condition's per-lane Unregister handles; buf is the member-alert
-// scratch a run's evaluation fills before its alerts are offered.
+// scratch a run's evaluation fills before its alerts are offered, and run
+// the run's variable resolved on each lane.
 type eshard struct {
 	mu     sync.Mutex
 	idx    int
 	lanes  []*elane
 	byName map[string][]ce.Ref
 	buf    []ce.MemberAlert
+	run    []laneRun
+}
+
+// laneRun is one lane's resolution of a run's variable: its front link
+// (nil while no registration naming the variable has reached the lane)
+// and the evaluator's record for it.
+type laneRun struct {
+	l  *frontLink
+	vl *ce.VarLane
 }
 
 // elane is one CE replica of one shard: a shared evaluator over the
@@ -272,6 +282,7 @@ func NewEngine(newFilter func(c cond.Condition) ad.Filter, opts EngineOptions) (
 			idx:    i,
 			lanes:  make([]*elane, opts.Replicas),
 			byName: make(map[string][]ce.Ref),
+			run:    make([]laneRun, opts.Replicas),
 		}
 		for r := range sh.lanes {
 			se, err := ce.NewSharedEvaluator(fmt.Sprintf("S%d/CE%d", i, r+1), opts.NoPacks)
@@ -493,54 +504,54 @@ func (sh *eshard) remove(name string) {
 	delete(sh.byName, name)
 }
 
-// deliver evaluates a run of one variable's updates on every shard
-// subscribed to it; dm.mu must be held. Each shard's alerts are offered
-// to the demux in evaluation order before its lock is released, so two
-// injectors racing on a shard cannot reorder its alert stream.
-func (ng *Engine) deliver(dm *engineDM, run []event.Update) {
+// deliver evaluates a non-empty run of variable v's updates on every
+// shard subscribed to it; dm.mu must be held. Each shard's alerts are
+// offered to the demux in evaluation order before its lock is released,
+// so two injectors racing on a shard cannot reorder its alert stream.
+func (ng *Engine) deliver(dm *engineDM, v event.VarName, run []event.Update) {
 	for _, sh := range dm.shards {
-		ng.evalRun(sh, run)
+		ng.evalRun(sh, v, run)
 	}
 }
 
-// evalRun is deliver's step for one shard.
-func (ng *Engine) evalRun(sh *eshard, run []event.Update) {
+// evalRun is deliver's step for one shard. The run's variable is resolved
+// once per lane — its front link and its evaluator record — and every
+// update is then fed through them, update-major: each update visits the
+// lanes in replica order, one link delivery decision per lane (shared by
+// all the lane's conditions) and one shared evaluation pass. Firing
+// members' alerts are offered in that order.
+func (ng *Engine) evalRun(sh *eshard, v event.VarName, run []event.Update) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	for i, ln := range sh.lanes {
+		sh.run[i] = laneRun{l: ln.links[v], vl: ln.se.Lane(v)}
+	}
 	buf := sh.buf[:0]
 	for _, u := range run {
-		buf = ng.laneDeliver(sh, u, buf)
+		for i, lr := range sh.run {
+			if lr.l == nil {
+				// The shard is subscribed to the variable, but this lane's
+				// link only appears once the first add naming it is applied:
+				// updates racing ahead of a registration are not evaluated.
+				continue
+			}
+			if !lr.l.lossless && !lr.l.model.Deliver(u, lr.l.rng) {
+				ng.m.addLost(1)
+				continue
+			}
+			ng.m.addDelivered(1)
+			se := sh.lanes[i].se
+			var err error
+			buf, err = se.FeedLane(lr.vl, u, buf)
+			if err != nil {
+				ng.recordEngineErr(fmt.Errorf("runtime: %s: %w", se.ID(), err))
+			}
+		}
 	}
 	for _, ma := range buf {
 		ng.demux.Offer(ma.Alert, ma.Token)
 	}
 	sh.buf = buf
-}
-
-// laneDeliver runs one update through every lane of the shard: one link
-// delivery decision per lane (shared by all the lane's conditions), then
-// one shared evaluation pass. Firing members' alerts are appended to buf.
-func (ng *Engine) laneDeliver(sh *eshard, u event.Update, buf []ce.MemberAlert) []ce.MemberAlert {
-	for _, ln := range sh.lanes {
-		l := ln.links[u.Var]
-		if l == nil {
-			// The shard is subscribed to the variable, but this lane's
-			// link only appears once the first add naming it is applied:
-			// updates racing ahead of a registration are not evaluated.
-			continue
-		}
-		if !l.lossless && !l.model.Deliver(u, l.rng) {
-			ng.m.addLost(1)
-			continue
-		}
-		ng.m.addDelivered(1)
-		var err error
-		buf, err = ln.se.Feed(u, buf)
-		if err != nil {
-			ng.recordEngineErr(fmt.Errorf("runtime: %s: %w", ln.se.ID(), err))
-		}
-	}
-	return buf
 }
 
 func (ng *Engine) recordEngineErr(err error) {
@@ -587,7 +598,7 @@ func (ng *Engine) Emit(v event.VarName, value float64) (int64, error) {
 	defer dm.mu.Unlock()
 	dm.seq++
 	dm.run = append(dm.run[:0], event.U(v, dm.seq, value))
-	ng.deliver(dm, dm.run)
+	ng.deliver(dm, v, dm.run)
 	ng.m.addEmitted(1)
 	return dm.seq, nil
 }
@@ -610,7 +621,7 @@ func (ng *Engine) EmitBatch(v event.VarName, values []float64) (int64, error) {
 		dm.seq++
 		dm.run = append(dm.run, event.U(v, dm.seq, value))
 	}
-	ng.deliver(dm, dm.run)
+	ng.deliver(dm, v, dm.run)
 	ng.m.addEmitted(int64(len(values)))
 	ng.m.incEmitBatches()
 	return dm.seq, nil
@@ -635,7 +646,7 @@ func (ng *Engine) Inject(u event.Update) error {
 		dm.seq = u.SeqNo
 	}
 	dm.run = append(dm.run[:0], u)
-	ng.deliver(dm, dm.run)
+	ng.deliver(dm, u.Var, dm.run)
 	ng.m.addEmitted(1)
 	return nil
 }
@@ -645,8 +656,10 @@ func (ng *Engine) Inject(u event.Update) error {
 // evaluated and its alerts displayed or fenced. The run is only read, and
 // only before InjectBatch returns, so the caller may hand in a pooled
 // decode buffer and reuse it at once — the contract a
-// transport.UDPReceiverOptions.Dispatch callback needs. Sequence numbers
-// must be ascending within the run; the DM counter advances past the last.
+// transport.UDPReceiverOptions.Dispatch callback needs. Every update must
+// carry v, since the run is fed through v's lane records (one of another
+// variable is discarded), and sequence numbers must be ascending within
+// the run; the DM counter advances past the last.
 func (ng *Engine) InjectBatch(v event.VarName, us []event.Update) error {
 	dm, err := ng.lockDM("InjectBatch", v)
 	if err != nil {
@@ -659,7 +672,7 @@ func (ng *Engine) InjectBatch(v event.VarName, us []event.Update) error {
 	if last := us[len(us)-1].SeqNo; last > dm.seq {
 		dm.seq = last
 	}
-	ng.deliver(dm, us)
+	ng.deliver(dm, v, us)
 	ng.m.addEmitted(int64(len(us)))
 	ng.m.incEmitBatches()
 	return nil

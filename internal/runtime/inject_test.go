@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +311,27 @@ func TestEngineInjectBatchSynchronous(t *testing.T) {
 	compareDisplayed(t, "inject-sync", want, got)
 }
 
+// TestEngineEmptyRun pins the zero-length contract of the batch entry
+// points: no evaluation, no display, and the DM counter left where it was.
+func TestEngineEmptyRun(t *testing.T) {
+	ng := newInjectEngine(t)
+	if err := ng.InjectBatch("x", nil); err != nil {
+		t.Fatalf("InjectBatch(empty): %v", err)
+	}
+	if seq, err := ng.EmitBatch("x", nil); err != nil || seq != 0 {
+		t.Fatalf("EmitBatch(empty) = (%d, %v), want (0, nil)", seq, err)
+	}
+	if seq, err := ng.Emit("x", 1); err != nil || seq != 1 {
+		t.Fatalf("Emit after empty runs = (%d, %v), want (1, nil)", seq, err)
+	}
+	if n := ng.Demux().DisplayedCount(); n != 0 {
+		t.Fatalf("%d alerts displayed, want 0", n)
+	}
+	if _, err := ng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestEngineInjectBatchAllocs pins the steady-state cost of the ingest
 // entry point: a run that fires nothing is evaluated on every lane of
 // every subscribed shard without a heap allocation.
@@ -502,4 +524,67 @@ func TestEngineConcurrentInjectChurn(t *testing.T) {
 		t.Fatal("reference displayed nothing; stream too tame")
 	}
 	compareDisplayed(t, "concurrent-inject", want, got)
+}
+
+// BenchmarkEngineInjectBatch times the ingest entry point at the
+// engine-fanout workload's shape: 16 variables, 10 000 thresholds (limit
+// 1000+i) and 1 000 v[0] - v[-1] > c conditions spread over them
+// round-robin, two replicas, runs of 32 updates of one variable. Values
+// lie on [100, 900) with one spike on [1000, 1064) in every 100 updates,
+// after a low predecessor in one block of 25, so a few thresholds and now
+// and then a rise fire. It reports ns/update; allocs/op is per run.
+func BenchmarkEngineInjectBatch(b *testing.B) {
+	const nVars, thresholds, rises, runLen, tableLen = 16, 10000, 1000, 32, 3200
+	ng, err := NewEngine(func(cond.Condition) ad.Filter { return ad.NewAD1() }, EngineOptions{Replicas: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ng.Close()
+	vars := make([]event.VarName, nVars)
+	for i := range vars {
+		vars[i] = event.VarName(fmt.Sprintf("v%02d", i))
+	}
+	for i := 0; i < thresholds; i++ {
+		c := cond.Threshold{CondName: fmt.Sprintf("t%05d", i), Var: vars[i%nVars], Limit: 1000 + float64(i), Above: true}
+		if _, err := ng.Register(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < rises; i++ {
+		v := vars[i%nVars]
+		if _, err := ng.Register(cond.MustParse(fmt.Sprintf("s%04d", i), fmt.Sprintf("%s[0] - %s[-1] > %d", v, v, 990+i%8))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([][]float64, nVars)
+	for v := range vals {
+		t := make([]float64, tableLen)
+		for i := range t {
+			t[i] = 100 + 800*rng.Float64()
+		}
+		for k, blk := 0, 0; blk < tableLen; k, blk = k+1, blk+100 {
+			i := blk + 1 + rng.Intn(99)
+			t[i] = 1000 + float64((37*k)%64) + rng.Float64()
+			if k%25 == 0 {
+				t[i-1] = 3 * rng.Float64()
+			}
+		}
+		vals[v] = t
+	}
+	buf := make([]event.Update, runLen)
+	seqs := make([]int64, nVars)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % nVars
+		for k := range buf {
+			seqs[v]++
+			buf[k] = event.U(vars[v], seqs[v], vals[v][seqs[v]%tableLen])
+		}
+		if err := ng.InjectBatch(vars[v], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runLen), "ns/update")
 }
